@@ -1,9 +1,9 @@
 //! Figure 8 — Pareto fronts of the candidate clouds for datacenter
 //! scenarios 3 and 4 under each search target.
 
-use scar_bench::pareto::{ascii_scatter, pareto_front};
+use scar_bench::pareto::ascii_scatter;
 use scar_bench::strategy::{quick_budget, Strategy};
-use scar_core::{CandidatePoint, OptMetric, Session};
+use scar_core::{pareto_front, CandidatePoint, OptMetric, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 

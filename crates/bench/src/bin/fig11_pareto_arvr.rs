@@ -1,9 +1,9 @@
 //! Figure 11 — Pareto-optimal results for the EDP search on the labeled
 //! XRBench scenarios (AR Assistant, AR Gaming, Outdoors, VR Gaming).
 
-use scar_bench::pareto::{ascii_scatter, pareto_front};
+use scar_bench::pareto::ascii_scatter;
 use scar_bench::strategy::{quick_budget, Strategy};
-use scar_core::{CandidatePoint, OptMetric, Session};
+use scar_core::{pareto_front, CandidatePoint, OptMetric, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 

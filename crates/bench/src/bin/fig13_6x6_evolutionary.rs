@@ -3,10 +3,10 @@
 //! Scenario 4 at nsplits = 2 and nsplits = 3, Simba-6 (Shi/NVD) vs
 //! Het-Cross.
 
-use scar_bench::pareto::{ascii_scatter, pareto_front};
+use scar_bench::pareto::ascii_scatter;
 use scar_bench::strategy::{default_budget, Strategy};
 use scar_bench::table::Table;
-use scar_core::{CandidatePoint, OptMetric, Session};
+use scar_core::{pareto_front, CandidatePoint, OptMetric, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 

@@ -67,8 +67,7 @@
 use scar_core::Parallelism;
 use scar_mcm::templates::{het_sides_3x3, Profile};
 use scar_serve::{
-    AdmissionKind, PolicyFile, PolicyRegistry, ServeConfig, ServePolicy, ServeSim, TrafficMix,
-    TrafficShape,
+    AdmissionKind, PolicyFile, PolicyRegistry, ServeConfig, ServeSim, TrafficMix, TrafficShape,
 };
 use scar_telemetry::Telemetry;
 use std::fmt::Write as _;
@@ -263,11 +262,11 @@ fn main() {
 
         // the Standalone baseline under the same traffic (sharing the
         // persisted cost database — per-layer costs are scheduler-free)
-        let mut base = ServeSim::with_policy(
-            &mcm,
-            ServePolicy::Standalone,
-            make_cfg(Telemetry::disabled()),
-        );
+        let base_cfg = make_cfg(Telemetry::disabled());
+        let standalone = registry
+            .build("Standalone", &base_cfg)
+            .expect("built-in policy");
+        let mut base = ServeSim::with_scheduler(&mcm, standalone, base_cfg);
         let b = base.run(&mix, horizon_s).expect("standalone fits too");
         let b_warm = base.run(&mix, horizon_s).expect("standalone replay fits");
         writeln!(report_log, "{b_warm}").expect("string write");

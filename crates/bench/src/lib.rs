@@ -11,7 +11,7 @@ pub mod replay;
 pub mod strategy;
 pub mod table;
 
-pub use pareto::{ascii_scatter, pareto_front};
+pub use pareto::ascii_scatter;
 pub use replay::{replay_artifacts, replay_file, ReplayDiff, ReplayOptions};
 pub use strategy::{run_strategies, LabeledResult, Strategy};
 pub use table::Table;

@@ -1,19 +1,7 @@
-//! Pareto-front extraction and terminal scatter plots for the Pareto
-//! figures (Figures 8, 11, 13).
+//! Terminal scatter plots for the Pareto figures (Figures 8, 11, 13);
+//! front extraction is [`scar_core::pareto_front`].
 
 use scar_core::CandidatePoint;
-
-/// Extracts the Pareto-optimal (minimize latency, minimize energy) subset,
-/// sorted by latency.
-///
-/// Delegates to the NaN-safe [`scar_core::pareto_front`]: this used to be
-/// a stale pre-`total_cmp` duplicate whose `partial_cmp().unwrap()` sort
-/// panicked the figure bins on a single NaN candidate (a degenerate cost
-/// model, a zero-span window). NaN points are filtered, never front
-/// members, and never a panic.
-pub fn pareto_front(points: &[CandidatePoint]) -> Vec<CandidatePoint> {
-    scar_core::pareto_front(points)
-}
 
 /// Renders labeled candidate clouds as an ASCII scatter (latency on x,
 /// energy on y, log-ish binning), one marker per series.
@@ -74,69 +62,6 @@ mod tests {
             latency_s: l,
             energy_j: e,
         }
-    }
-
-    #[test]
-    fn front_is_nondominated_and_sorted() {
-        let pts = vec![
-            p(1.0, 5.0),
-            p(2.0, 3.0),
-            p(3.0, 4.0),
-            p(4.0, 1.0),
-            p(1.5, 6.0),
-        ];
-        let f = pareto_front(&pts);
-        assert_eq!(f.len(), 3);
-        assert_eq!(f[0].latency_s, 1.0);
-        assert_eq!(f[1].latency_s, 2.0);
-        assert_eq!(f[2].latency_s, 4.0);
-    }
-
-    #[test]
-    fn dominated_duplicates_are_dropped() {
-        let pts = vec![p(1.0, 1.0), p(1.0, 2.0), p(2.0, 2.0)];
-        assert_eq!(pareto_front(&pts).len(), 1);
-    }
-
-    /// Regression (ported from `scar_core`): a NaN-polluted candidate
-    /// cloud must not panic the figure bins — the pre-dedup copy of this
-    /// function died in `partial_cmp().unwrap()` on the very first NaN.
-    #[test]
-    fn front_survives_nan_candidates() {
-        let pts = vec![
-            p(f64::NAN, 1.0),
-            p(1.0, f64::NAN),
-            p(f64::NAN, f64::NAN),
-            p(2.0, 3.0),
-            p(3.0, 1.0),
-        ];
-        let f = pareto_front(&pts);
-        assert_eq!(f.len(), 2);
-        assert!(f
-            .iter()
-            .all(|c| c.latency_s.is_finite() && c.energy_j.is_finite()));
-        assert_eq!(f[0].latency_s, 2.0);
-        assert_eq!(f[1].latency_s, 3.0);
-    }
-
-    /// Regression (ported from `scar_core`): an all-NaN cloud yields an
-    /// empty front, not a panic or a front of NaNs.
-    #[test]
-    fn all_nan_cloud_yields_empty_front() {
-        let pts = vec![p(f64::NAN, f64::NAN), p(f64::NAN, 0.0)];
-        assert!(pareto_front(&pts).is_empty());
-    }
-
-    /// Infinities are orderable, so they are legal (if extreme) points:
-    /// an infinite-energy point never enters the front, an
-    /// infinite-latency point only if it strictly improves energy.
-    #[test]
-    fn infinities_order_without_panicking() {
-        let pts = vec![p(1.0, f64::INFINITY), p(f64::INFINITY, 0.5), p(2.0, 1.0)];
-        let f = pareto_front(&pts);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f[0].latency_s, 2.0);
-        assert_eq!(f[1].energy_j, 0.5);
     }
 
     #[test]

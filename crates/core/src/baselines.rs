@@ -15,15 +15,11 @@
 //! The Simba-like pipelining baseline needs no code of its own: it is the
 //! SCAR search restricted to a homogeneous MCM template.
 
-use crate::parallel::Parallelism;
-use crate::problem::{
-    OptMetric, ScheduleError, ScheduleInstance, Segment, TimeWindow, WindowSchedule,
-};
+use crate::problem::{ScheduleError, ScheduleInstance, Segment, TimeWindow, WindowSchedule};
 use crate::scar::ScheduleResult;
 use crate::scheduler::{ScheduleRequest, Scheduler, Session};
 use crate::tree;
-use scar_mcm::McmConfig;
-use scar_workloads::{DataType, Scenario};
+use scar_workloads::DataType;
 use std::hash::{Hash, Hasher};
 
 /// The Standalone baseline: each model end-to-end on its own chiplet, all
@@ -224,86 +220,19 @@ impl Scheduler for NnBaton {
     }
 }
 
-fn request_for(
-    scenario: &Scenario,
-    mcm: &McmConfig,
-    metric: OptMetric,
-    parallelism: Parallelism,
-) -> ScheduleRequest {
-    ScheduleRequest::new(scenario.clone(), mcm.clone())
-        .metric(metric)
-        .parallelism(parallelism)
-}
-
-/// Pre-redesign entry point for [`Standalone`].
-///
-/// # Errors
-///
-/// See [`Standalone::schedule`](Scheduler::schedule).
-#[deprecated(note = "drive `baselines::Standalone` through the `Scheduler` trait with a `Session`")]
-pub fn standalone(
-    scenario: &Scenario,
-    mcm: &McmConfig,
-    metric: OptMetric,
-    parallelism: Parallelism,
-) -> Result<ScheduleResult, ScheduleError> {
-    Standalone::new().schedule(
-        &Session::new(),
-        &request_for(scenario, mcm, metric, parallelism),
-    )
-}
-
-/// Pre-redesign entry point for [`NnBaton`].
-///
-/// # Errors
-///
-/// See [`NnBaton::schedule`](Scheduler::schedule).
-#[deprecated(note = "drive `baselines::NnBaton` through the `Scheduler` trait with a `Session`")]
-pub fn nn_baton(
-    scenario: &Scenario,
-    mcm: &McmConfig,
-    metric: OptMetric,
-    parallelism: Parallelism,
-) -> Result<ScheduleResult, ScheduleError> {
-    NnBaton::new().schedule(
-        &Session::new(),
-        &request_for(scenario, mcm, metric, parallelism),
-    )
-}
-
-/// Pre-redesign entry point for [`NnBaton::from_chiplet`].
-///
-/// # Errors
-///
-/// See [`NnBaton::schedule`](Scheduler::schedule).
-///
-/// # Panics
-///
-/// Panics if `start` is out of range.
-#[deprecated(
-    note = "drive `baselines::NnBaton::from_chiplet` through the `Scheduler` trait with a `Session`"
-)]
-pub fn nn_baton_from(
-    scenario: &Scenario,
-    mcm: &McmConfig,
-    metric: OptMetric,
-    parallelism: Parallelism,
-    start: usize,
-) -> Result<ScheduleResult, ScheduleError> {
-    NnBaton::from_chiplet(start).schedule(
-        &Session::new(),
-        &request_for(scenario, mcm, metric, parallelism),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{OptMetric, Parallelism};
     use scar_maestro::Dataflow;
     use scar_mcm::templates::{het_2x2, simba_3x3, Profile};
+    use scar_mcm::McmConfig;
+    use scar_workloads::Scenario;
 
     fn edp_request(sc: &Scenario, mcm: &McmConfig) -> ScheduleRequest {
-        request_for(sc, mcm, OptMetric::Edp, Parallelism::Serial)
+        ScheduleRequest::new(sc.clone(), mcm.clone())
+            .metric(OptMetric::Edp)
+            .parallelism(Parallelism::Serial)
     }
 
     #[test]
@@ -410,27 +339,6 @@ mod tests {
         assert!(
             shared.cached_costs() > 0,
             "the shared session must have memoized costs"
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate() {
-        let sc = Scenario::datacenter(1);
-        let mcm = simba_3x3(Profile::Datacenter, Dataflow::NvdlaLike);
-        let via_shim = standalone(&sc, &mcm, OptMetric::Edp, Parallelism::Serial).unwrap();
-        let via_trait = Standalone::new()
-            .schedule(&Session::new(), &edp_request(&sc, &mcm))
-            .unwrap();
-        assert_eq!(via_shim, via_trait);
-        let baton_shim = nn_baton_from(&sc, &mcm, OptMetric::Edp, Parallelism::Serial, 0).unwrap();
-        let baton_trait = NnBaton::from_chiplet(0)
-            .schedule(&Session::new(), &edp_request(&sc, &mcm))
-            .unwrap();
-        assert_eq!(baton_shim, baton_trait);
-        assert_eq!(
-            nn_baton(&sc, &mcm, OptMetric::Edp, Parallelism::Serial).unwrap(),
-            baton_trait
         );
     }
 }

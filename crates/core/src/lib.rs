@@ -86,4 +86,4 @@ pub use scar::{
 };
 pub use scheduler::{ScheduleArtifact, ScheduleRequest, Scheduler, SchedulerConfig, Session};
 pub use search::{EvoParams, SearchBudget, SearchKind};
-pub use zoo::{MergedPipeline, NsgaScar, SpliceScar};
+pub use zoo::NsgaScar;

@@ -7,12 +7,11 @@ use crate::problem::{EvalTotals, OptMetric, ScheduleError, ScheduleInstance, Seg
 use crate::provision::{self, ProvisionRule};
 use crate::reconfig::{self, PackingRule};
 use crate::scheduler::{ScheduleRequest, Scheduler, Session};
-use crate::search::{self, SearchBudget, SearchCtx, SearchKind};
+use crate::search::{self, SearchBudget, SearchCtx, SearchKind, WindowStep};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scar_maestro::CostDatabase;
 use scar_mcm::{ChipletId, McmConfig};
-use scar_telemetry::Telemetry;
 use scar_workloads::Scenario;
 use serde::{Deserialize, Serialize};
 use std::hash::{Hash, Hasher};
@@ -235,40 +234,47 @@ fn build_reports(
         .collect()
 }
 
-/// Builder for [`Scar`].
+/// Builder for [`Scar`]: the pipeline's structural knobs only. Everything
+/// per-call (metric, budget, seed, parallelism) travels in the
+/// [`ScheduleRequest`].
 #[derive(Debug, Clone)]
 pub struct ScarBuilder {
+    name: String,
     nsplits: usize,
-    metric: OptMetric,
     packing: PackingRule,
     provisioning: ProvisionRule,
     search: SearchKind,
-    budget: SearchBudget,
+    splice_trim: bool,
 }
 
 impl Default for ScarBuilder {
     fn default() -> Self {
         Self {
+            name: "SCAR".to_string(),
             nsplits: 4,
-            metric: OptMetric::Edp,
             packing: PackingRule::Greedy,
             provisioning: ProvisionRule::Uniform,
             search: SearchKind::BruteForce,
-            budget: SearchBudget::default(),
+            splice_trim: false,
         }
     }
 }
 
 impl ScarBuilder {
-    /// Number of time-window splits (§IV-A; default 4 → up to 5 windows).
-    pub fn nsplits(mut self, n: usize) -> Self {
-        self.nsplits = n;
+    /// The report name ([`Scheduler::name`]; default `"SCAR"`). Named
+    /// configurations — the zoo's `"Merged-Pipeline"` and
+    /// `"SCAR-splice"` — set their own, so their cache entries and
+    /// artifacts never alias SCAR's.
+    pub fn name(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into();
         self
     }
 
-    /// The optimization metric (Definition 10; default EDP).
-    pub fn metric(mut self, metric: OptMetric) -> Self {
-        self.metric = metric;
+    /// Number of time-window splits (§IV-A; default 4 → up to 5 windows).
+    /// `0` fuses every model into one window: the Scope-style merged
+    /// pipeline.
+    pub fn nsplits(mut self, n: usize) -> Self {
+        self.nsplits = n;
         self
     }
 
@@ -290,17 +296,13 @@ impl ScarBuilder {
         self
     }
 
-    /// Search budgets (enumeration caps, Heuristic 2 constraint, RNG seed).
-    pub fn budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Worker-pool sizing for candidate evaluation (shorthand for setting
-    /// [`SearchBudget::parallelism`]; call after [`ScarBuilder::budget`]).
-    /// Wall-clock only — schedules are bit-identical across settings.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.budget.parallelism = parallelism;
+    /// Whether [`Scheduler::preempt`] first cuts the request's budget
+    /// (default off): a quarter of the segmentation enumeration and half
+    /// the placement and candidate caps, before the splice search trims
+    /// further. Splice latency over splice breadth, for preemption-heavy
+    /// serving. Cold scheduling is unaffected.
+    pub fn splice_trim(mut self, on: bool) -> Self {
+        self.splice_trim = on;
         self
     }
 
@@ -316,7 +318,8 @@ impl ScarBuilder {
 /// The SCAR scheduler (Figure 4): MCM-Reconfig → PROV → SEG → SCHED with
 /// cost-model feedback.
 ///
-/// Construct via [`Scar::builder`]; `schedule` runs the full pipeline.
+/// Construct via [`Scar::builder`] and drive through the [`Scheduler`]
+/// trait with a [`Session`].
 #[derive(Debug, Clone)]
 pub struct Scar {
     config: ScarBuilder,
@@ -331,65 +334,60 @@ impl Scar {
         ScarBuilder::default()
     }
 
-    /// A scheduler with all defaults (EDP search, greedy packing, uniform
-    /// PROV, brute force, nsplits = 4).
+    /// A scheduler with all defaults (greedy packing, uniform PROV, brute
+    /// force, nsplits = 4).
     pub fn with_defaults() -> Self {
         Self::builder().build()
     }
 
-    /// Schedules with the builder's `metric`/`budget` against a
-    /// caller-provided cost database. This is the pre-trait entry point;
-    /// prefer driving the [`Scheduler`] trait with a [`Session`] — the two
-    /// paths are bit-identical given equal metric/budget.
-    ///
-    /// # Errors
-    ///
-    /// * [`ScheduleError::InsufficientChiplets`] when some window has more
-    ///   concurrently active models than the package has chiplets;
-    /// * [`ScheduleError::NoFeasibleSchedule`] when a window's search finds
-    ///   no candidate (budgets too tight for the topology).
-    pub fn schedule_with_db(
+    /// The cold pipeline with `step` picking each window's winner: SCAR's
+    /// scalar search, or a selection rule another scheduler plugs in.
+    pub(crate) fn schedule_with(
         &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
+        session: &Session,
+        request: &ScheduleRequest,
+        step: WindowStep,
     ) -> Result<ScheduleResult, ScheduleError> {
+        let _g = session
+            .telemetry()
+            .span("schedule.run")
+            .arg_opt("tag", request.trace_tag.as_deref());
         self.schedule_core(
-            scenario,
-            mcm,
-            db,
-            &self.config.metric,
-            &self.config.budget,
+            session,
+            request,
+            &request.budget,
+            self.config.nsplits,
             None,
-            &Telemetry::disabled(),
+            step,
         )
     }
 
-    /// The full pipeline, parameterized over the per-request knobs (the
-    /// builder's `metric`/`budget` serve as defaults for the inherent entry
-    /// points; the [`Scheduler`] trait substitutes the request's).
-    /// `warm_prefs` carries optional per-model placement hints mined from a
-    /// preempted in-flight schedule (see [`Scheduler::preempt`]).
-    #[allow(clippy::too_many_arguments)]
+    /// The full pipeline. `budget` and `nsplits` are the request's budget
+    /// and the configured splits on a cold call, trimmed ones on a
+    /// splice; `warm_prefs` carries optional per-model placement hints
+    /// mined from a preempted in-flight schedule (see
+    /// [`Scheduler::preempt`]).
     fn schedule_core(
         &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
-        metric: &OptMetric,
+        session: &Session,
+        request: &ScheduleRequest,
         budget: &SearchBudget,
+        nsplits: usize,
         warm_prefs: Option<&[Vec<usize>]>,
-        tel: &Telemetry,
+        step: WindowStep,
     ) -> Result<ScheduleResult, ScheduleError> {
         let cfg = &self.config;
+        let (scenario, mcm, metric) = (&request.scenario, &request.mcm, &request.metric);
+        let db = session.database();
+        let tel = session.telemetry();
         let expected = {
             // cost-model work: misses in `db` run MAESTRO here
             let _g = tel.span("schedule.costs");
             ExpectedCosts::compute(scenario, mcm, db)
         };
         let partition = {
-            let _g = tel.span("schedule.partition").arg("nsplits", cfg.nsplits);
-            reconfig::partition(scenario, &expected, cfg.nsplits, cfg.packing)
+            let _g = tel.span("schedule.partition").arg("nsplits", nsplits);
+            reconfig::partition(scenario, &expected, nsplits, cfg.packing)
         };
         debug_assert!(partition.validate(scenario).is_ok());
 
@@ -476,10 +474,11 @@ impl Scar {
                     available: mcm.num_chiplets(),
                 });
             }
-            let result = search::search_window(&ctx, window, &allocations, &cfg.search, &mut rng)
-                .ok_or(ScheduleError::NoFeasibleSchedule {
-                window: window.index,
-            })?;
+            let result = step(&ctx, window, &allocations, &cfg.search, &mut rng).ok_or(
+                ScheduleError::NoFeasibleSchedule {
+                    window: window.index,
+                },
+            )?;
             window_schedules.push(result.best);
             window_evals.push(result.eval);
             per_window_candidates.push(result.candidates);
@@ -522,93 +521,22 @@ impl Scar {
             budget.parallelism,
         ))
     }
-
-    /// Re-evaluates an existing schedule instance against `scenario` as a
-    /// *seeded candidate*, skipping the window search entirely.
-    ///
-    /// This is the incremental-rescheduling fast path for serving loops:
-    /// when consecutive live scenarios differ only in batch sizes, the
-    /// previous window's segmentation and placement remain structurally
-    /// valid — only the costs (and the evaluator's mini-batch choices)
-    /// change. Re-evaluating the prior placement costs one cost-model pass
-    /// instead of a full (allocation × segmentation × placement) search.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation error if `seed` does not fit `scenario`
-    /// (different layer counts, bad chiplet ids, …); callers fall back to
-    /// [`Scar::schedule_with_db`].
-    pub fn evaluate_seeded(
-        &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
-        seed: &ScheduleInstance,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        self.evaluate_seeded_core(
-            scenario,
-            mcm,
-            db,
-            seed,
-            &self.config.metric,
-            self.config.budget.parallelism,
-            &Telemetry::disabled(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_seeded_core(
-        &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
-        seed: &ScheduleInstance,
-        metric: &OptMetric,
-        parallelism: Parallelism,
-        tel: &Telemetry,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        seed.validate(scenario, mcm.num_chiplets())?;
-        let _g = tel.span("schedule.seeded");
-        Ok(ScheduleResult::from_instance(
-            mcm.name(),
-            scenario,
-            mcm,
-            db,
-            metric.clone(),
-            seed.clone(),
-            Vec::new(),
-            parallelism,
-        ))
-    }
 }
 
 impl Scheduler for Scar {
     fn name(&self) -> &str {
-        "SCAR"
+        &self.config.name
     }
 
-    /// The full SCAR pipeline over the session's shared cost database. The
-    /// request's `metric` and `budget` take precedence over the builder's
-    /// defaults; the builder keeps the structural knobs (`nsplits`,
-    /// packing, provisioning, search driver).
+    /// The full SCAR pipeline over the session's shared cost database,
+    /// under the request's metric and budget; the builder supplies the
+    /// structural knobs (`nsplits`, packing, provisioning, search driver).
     fn schedule(
         &self,
         session: &Session,
         request: &ScheduleRequest,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let tel = session.telemetry();
-        let _g = tel
-            .span("schedule.run")
-            .arg_opt("tag", request.trace_tag.as_deref());
-        self.schedule_core(
-            &request.scenario,
-            &request.mcm,
-            session.database(),
-            &request.metric,
-            &request.budget,
-            None,
-            tel,
-        )
+        self.schedule_with(session, request, search::search_window)
     }
 
     /// Splice-aware preemption: instead of the trait default's full
@@ -619,10 +547,15 @@ impl Scheduler for Scar {
     /// surviving placement plus the newly arrived tenants' deltas. The
     /// splice search also drops one reconfiguration split (`nsplits - 1`,
     /// floor 1): a mid-window cut rarely needs the full boundary count,
-    /// and fewer windows shrink every downstream stage. Falls
-    /// back to the full [`Scheduler::schedule`] path when mining yields no
-    /// hints or the seeded search finds nothing feasible, byte-identical
-    /// to the trait default.
+    /// and fewer windows shrink every downstream stage. A fused pipeline
+    /// (`nsplits = 0`) stays one window. Falls back to the full
+    /// [`Scheduler::schedule`] path when mining yields no hints or the
+    /// seeded search finds nothing feasible, byte-identical to the trait
+    /// default.
+    ///
+    /// With [`ScarBuilder::splice_trim`] on, the request's budget is cut
+    /// before anything else, so the fallbacks run under the trimmed
+    /// budget too.
     ///
     /// The *incumbent is always a candidate*: when the cut instance still
     /// validates against the request (the degenerate "nothing actually
@@ -638,17 +571,22 @@ impl Scheduler for Scar {
     /// structural function of the two, the incumbent re-evaluation is
     /// search-free, and the trimmed search derives all randomness from
     /// the request's seed.
-    ///
-    /// `SCAR_PREEMPT_FASTPATH=0` disables the fast path entirely.
     fn preempt(
         &self,
         session: &Session,
         request: &ScheduleRequest,
         in_flight: &ScheduleInstance,
     ) -> Result<ScheduleResult, ScheduleError> {
-        if !preempt_fastpath_enabled() {
-            return self.schedule(session, request);
-        }
+        let spliced;
+        let request = if self.config.splice_trim {
+            spliced = ScheduleRequest {
+                budget: splice_budget(&request.budget),
+                ..request.clone()
+            };
+            &spliced
+        } else {
+            request
+        };
         let tel = session.telemetry();
         let hints = {
             let _g = tel
@@ -661,27 +599,22 @@ impl Scheduler for Scar {
             // with the request): the trait-default full search
             return self.schedule(session, request);
         }
-        let trimmed = preempt_budget(&request.budget);
-        let splicer = Self {
-            config: ScarBuilder {
-                nsplits: self.config.nsplits.saturating_sub(1).max(1),
-                ..self.config.clone()
-            },
-            seg_memo: std::sync::Arc::clone(&self.seg_memo),
+        let nsplits = match self.config.nsplits {
+            0 => 0,
+            n => (n - 1).max(1),
         };
         let fast = {
             let _g = tel.span("schedule.preempt").arg(
                 "warm_models",
                 hints.iter().filter(|h| !h.is_empty()).count(),
             );
-            splicer.schedule_core(
-                &request.scenario,
-                &request.mcm,
-                session.database(),
-                &request.metric,
-                &trimmed,
+            self.schedule_core(
+                session,
+                request,
+                &preempt_budget(&request.budget),
+                nsplits,
                 Some(&hints),
-                tel,
+                search::search_window,
             )
         };
         // the incumbent is always a candidate: if the cut plan still
@@ -704,53 +637,43 @@ impl Scheduler for Scar {
         }
     }
 
-    /// The fast path consumes `in_flight` through its mined hints *and*
-    /// through the incumbent re-evaluation (which reads the whole
-    /// instance when it validates), so the sound projection is the full
-    /// instance — the trait default. With the fast path disabled,
-    /// [`Scar::preempt`] ignores `in_flight` entirely and the fingerprint
-    /// is empty (request-only), so every cut of the same request shares
-    /// one cached full-search answer.
-    fn preempt_fingerprint(
-        &self,
-        _request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-        mut state: &mut dyn Hasher,
-    ) {
-        if preempt_fastpath_enabled() {
-            in_flight.hash(&mut state);
-        }
-    }
-
     fn supports_reschedule(&self) -> bool {
         true
     }
 
     /// The incremental fast path: re-evaluates `seed` against the request
-    /// (see [`Scar::evaluate_seeded`]); `None` when the seed no longer
-    /// validates against the request's scenario.
+    /// as a *seeded candidate*, skipping the window search entirely. When
+    /// consecutive live scenarios differ only in batch sizes, the previous
+    /// segmentation and placement stay structurally valid — only the
+    /// costs (and the evaluator's mini-batch choices) change — so one
+    /// cost-model pass replaces a full search. `None` when the seed no
+    /// longer validates against the request's scenario.
     fn reschedule(
         &self,
         session: &Session,
         request: &ScheduleRequest,
         seed: &ScheduleInstance,
     ) -> Option<ScheduleResult> {
-        self.evaluate_seeded_core(
+        let mcm = &request.mcm;
+        seed.validate(&request.scenario, mcm.num_chiplets()).ok()?;
+        let _g = session.telemetry().span("schedule.seeded");
+        Some(ScheduleResult::from_instance(
+            mcm.name(),
             &request.scenario,
-            &request.mcm,
+            mcm,
             session.database(),
-            seed,
-            &request.metric,
+            request.metric.clone(),
+            seed.clone(),
+            Vec::new(),
             request.budget.parallelism,
-            session.telemetry(),
-        )
-        .ok()
+        ))
     }
 
     /// SCAR's structural knobs, recorded into artifacts so replay rebuilds
     /// the exact scheduler (packing/provisioning rules stay at their
-    /// defaults in every recorded configuration; they are covered by
-    /// [`Scheduler::fingerprint_config`] should that ever change).
+    /// defaults in every recorded configuration, and the splice trim is
+    /// implied by the registry name; all are covered by
+    /// [`Scheduler::fingerprint_config`]).
     fn config(&self) -> crate::SchedulerConfig {
         crate::SchedulerConfig {
             nsplits: Some(self.config.nsplits),
@@ -773,15 +696,11 @@ impl Scheduler for Scar {
                 p.mutation_rate.to_bits().hash(&mut state);
             }
         }
+        // only when on, so trim-free configurations keep their key bytes
+        if cfg.splice_trim {
+            cfg.splice_trim.hash(&mut state);
+        }
     }
-}
-
-/// `SCAR_PREEMPT_FASTPATH` (default on, `0` disables): answer
-/// [`Scheduler::preempt`] with the splice-aware warm-start search instead
-/// of the trait default's full re-search.
-fn preempt_fastpath_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SCAR_PREEMPT_FASTPATH").map_or(true, |v| v != "0"))
 }
 
 /// The bounded perturbation neighborhood for splice re-scheduling: the
@@ -794,6 +713,20 @@ fn preempt_budget(b: &SearchBudget) -> SearchBudget {
         max_segmentations_enumerated: (b.max_segmentations_enumerated / 8).max(500),
         max_placements_per_window: (b.max_placements_per_window / 2).max(12),
         max_candidates_per_window: (b.max_candidates_per_window / 3).max(24),
+        ..b.clone()
+    }
+}
+
+/// The [`ScarBuilder::splice_trim`] cut, applied to the request before
+/// [`preempt_budget`] trims further: a quarter of the segmentation
+/// enumeration and half the placement/candidate caps, with the same
+/// floors [`preempt_budget`] enforces so tiny budgets never degenerate to
+/// an empty search.
+fn splice_budget(b: &SearchBudget) -> SearchBudget {
+    SearchBudget {
+        max_segmentations_enumerated: (b.max_segmentations_enumerated / 4).max(500),
+        max_placements_per_window: (b.max_placements_per_window / 2).max(12),
+        max_candidates_per_window: (b.max_candidates_per_window / 2).max(24),
         ..b.clone()
     }
 }
@@ -999,6 +932,68 @@ mod tests {
             .iter()
             .all(|p| p.latency_s.is_finite() && p.energy_j.is_finite()));
         assert_eq!(front, finite_front, "NaN points must not perturb the front");
+    }
+
+    fn p(latency_s: f64, energy_j: f64) -> CandidatePoint {
+        CandidatePoint {
+            latency_s,
+            energy_j,
+        }
+    }
+
+    #[test]
+    fn all_nan_cloud_yields_empty_front() {
+        // an all-NaN cloud yields an empty front, not a panic or NaN points
+        assert!(pareto_front(&[p(f64::NAN, f64::NAN), p(f64::NAN, 0.0)]).is_empty());
+    }
+
+    #[test]
+    fn infinities_order_without_panicking() {
+        // infinities are orderable, so they are legal (if extreme) points:
+        // an infinite-energy point never enters the front, an
+        // infinite-latency point only if it strictly improves energy
+        let f = pareto_front(&[p(1.0, f64::INFINITY), p(f64::INFINITY, 0.5), p(2.0, 1.0)]);
+        assert_eq!(f, vec![p(2.0, 1.0), p(f64::INFINITY, 0.5)]);
+    }
+
+    #[test]
+    fn dominated_duplicates_are_dropped() {
+        let f = pareto_front(&[p(1.0, 1.0), p(1.0, 2.0), p(2.0, 2.0)]);
+        assert_eq!(f, vec![p(1.0, 1.0)]);
+    }
+
+    #[test]
+    fn splice_trim_keeps_cold_schedules_and_trims_preempts() {
+        let session = Session::new();
+        let request =
+            ScheduleRequest::new(Scenario::datacenter(1), het_sides_3x3(Profile::Datacenter))
+                .budget(quick_budget());
+        let scar = Scar::builder().nsplits(1).build();
+        let splice = Scar::builder().nsplits(1).splice_trim(true).build();
+        let a = scar.schedule(&session, &request).unwrap();
+        let b = splice.schedule(&session, &request).unwrap();
+        assert_eq!(a, b, "cold path is unchanged");
+        // the preempt path trims but still answers, and the incumbent
+        // guard keeps it no worse than the cut plan under the metric
+        let spliced = splice.preempt(&session, &request, a.schedule()).unwrap();
+        let metric = &request.metric;
+        assert!(metric.score(&spliced.total()) <= metric.score(&a.total()));
+        // the budget transform is a pure trim with floors
+        let trimmed = splice_budget(&request.budget);
+        assert!(
+            trimmed.max_segmentations_enumerated <= request.budget.max_segmentations_enumerated
+        );
+        assert!(trimmed.max_placements_per_window <= request.budget.max_placements_per_window);
+        assert_eq!(trimmed.seed, request.budget.seed);
+        let tiny = splice_budget(&SearchBudget {
+            max_segmentations_enumerated: 1,
+            max_placements_per_window: 1,
+            max_candidates_per_window: 1,
+            ..SearchBudget::default()
+        });
+        assert_eq!(tiny.max_segmentations_enumerated, 500);
+        assert_eq!(tiny.max_placements_per_window, 12);
+        assert_eq!(tiny.max_candidates_per_window, 24);
     }
 
     #[test]

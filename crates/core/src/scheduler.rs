@@ -398,10 +398,9 @@ pub trait Scheduler {
     ///
     /// The default hashes the entire cut instance (always sound: no two
     /// distinct in-flight schedules share a key). Schedulers that only
-    /// consume a *projection* of the instance — SCAR's splice fast path
-    /// mines it down to per-model chiplet hints — should hash just that
-    /// projection, so cuts that differ in irrelevant detail share one
-    /// cached result.
+    /// consume a *projection* of the instance (say, per-model chiplet
+    /// hints) should hash just that projection, so cuts that differ in
+    /// irrelevant detail share one cached result.
     fn preempt_fingerprint(
         &self,
         request: &ScheduleRequest,

@@ -10,31 +10,20 @@
 //! * a [`CandidateSource`] (brute-force or evolutionary) produces ordered
 //!   batches of [`WindowCandidate`]s, drawing all of its randomness on the
 //!   generation side;
-//! * the engine scores each batch across a [`par_map`] worker pool sized by
-//!   [`SearchBudget::parallelism`](crate::SearchBudget), then merges the
-//!   results **in generation order** — best-candidate selection, the
-//!   candidate cloud, and the feedback handed back to the source are all
-//!   identical to a serial run, for any thread count;
+//! * the engine scores each batch across a [`par_map_chunks`] worker pool
+//!   sized by [`SearchBudget::parallelism`](crate::SearchBudget), then
+//!   hands the results to a per-candidate sink **in generation order** —
+//!   best-candidate selection, the candidate cloud, and the feedback
+//!   handed back to the source are all identical to a serial run, for any
+//!   thread count;
 //! * scored batches are fed back to the source via
 //!   [`CandidateSource::observe`], which is how the evolutionary driver
 //!   closes its selection loop without ever touching evaluation itself.
 
-use super::{SearchCtx, WindowSearchResult};
+use super::SearchCtx;
 use crate::evaluate::{Evaluator, WindowEval};
-use crate::parallel::{par_map, par_map_chunks};
-use crate::problem::{EvalTotals, OptMetric, WindowSchedule};
-use std::sync::OnceLock;
-
-/// `SCAR_EVAL_BATCH` (default on, `0` disables): evaluate candidate
-/// *slices* per worker task — per-slice setup hoisted, cost-database
-/// lookups batched under one read-lock acquisition per chunk — instead of
-/// one evaluation call per candidate. Both paths are bit-identical; the
-/// knob exists to measure the difference and to fall back if a platform's
-/// lock behavior misbehaves.
-fn eval_batching_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SCAR_EVAL_BATCH").map_or(true, |v| v != "0"))
-}
+use crate::parallel::par_map_chunks;
+use crate::problem::{OptMetric, WindowSchedule};
 
 /// One fully specified window schedule awaiting evaluation.
 pub(crate) struct WindowCandidate {
@@ -61,17 +50,11 @@ pub(crate) trait CandidateSource {
     fn observe(&mut self, _scores: &[f64]) {}
 }
 
-/// A candidate's evaluation plus its scalar score under the search metric.
-struct Scored {
-    eval: WindowEval,
-    score: f64,
-}
-
-/// A fully evaluated candidate retained for multi-objective selection:
-/// the schedule itself, its full per-model evaluation, and its scalar
-/// score under the search metric. Position in the [`run_collect`] output
-/// *is* generation order (the id stream is strictly increasing), so
-/// selectors tie-break on index.
+/// A fully evaluated candidate as the engine hands it to a sink: the
+/// schedule itself, its full per-model evaluation, and its scalar score
+/// under the search metric. Sinks receive candidates in generation order
+/// (the id stream is strictly increasing), so selectors tie-break on
+/// arrival order.
 pub(crate) struct ScoredCandidate {
     /// The candidate window schedule.
     pub schedule: WindowSchedule,
@@ -81,22 +64,21 @@ pub(crate) struct ScoredCandidate {
     pub score: f64,
 }
 
-/// Drains `source`, evaluating every batch in parallel, and returns the
-/// best window schedule with the full candidate cloud (in generation
-/// order). `None` when the source produced no candidates at all.
-pub(crate) fn run(
+/// Drains `source`, evaluating every batch in parallel and handing each
+/// scored candidate to `sink` in generation order — bit-identical for any
+/// thread count. The sink decides what to keep: the scalar search keeps
+/// only the running best, multi-objective selectors keep the whole cloud.
+pub(crate) fn drain(
     ctx: &SearchCtx<'_>,
     mut source: impl CandidateSource,
-) -> Option<WindowSearchResult> {
+    mut sink: impl FnMut(ScoredCandidate),
+) {
     let evaluator = ctx.evaluator();
     let threads = ctx.budget.parallelism.threads();
-
-    let mut best: Option<(f64, WindowSchedule, WindowEval)> = None;
-    let mut candidates: Vec<EvalTotals> = Vec::new();
 
     loop {
         // spans are recorded here on the coordinating thread — workers
-        // inside `par_map` never touch the telemetry sink
+        // inside the pool never touch the telemetry sink
         let batch = {
             let mut g = ctx.tel.span("search.generation");
             let batch = source.next_batch();
@@ -117,116 +99,44 @@ pub(crate) fn run(
             .arg("threads", threads);
         let scored = evaluate_batch(&evaluator, ctx.metric, &batch, threads);
 
-        // in-order merge: identical to a serial evaluation loop — strict
-        // `<` keeps the earliest-generated candidate on ties
+        // in-order merge: identical to a serial evaluation loop
         let mut scores = Vec::with_capacity(scored.len());
-        for (cand, sc) in batch.iter().zip(scored) {
-            candidates.push(sc.eval.totals());
-            scores.push(sc.score);
-            if best.as_ref().map(|(b, _, _)| sc.score < *b).unwrap_or(true) {
-                best = Some((sc.score, cand.schedule.clone(), sc.eval));
-            }
-        }
-        drop(_eval_span);
-        let _g = ctx.tel.span("search.generation");
-        source.observe(&scores);
-    }
-
-    best.map(|(_, ws, eval)| WindowSearchResult {
-        best: ws,
-        eval,
-        candidates,
-    })
-}
-
-/// [`run`]'s retaining sibling: drains `source` through the identical
-/// batch/evaluate/observe loop — same batches, same parallel evaluation,
-/// same in-generation-order merge, same feedback — but keeps **every**
-/// candidate (schedule + full evaluation + scalar score) instead of only
-/// the scalar-best. This is the raw material for selectors that need the
-/// whole cloud at once, like NSGA-II non-dominated sorting
-/// ([`crate::search::nsga`]). Kept separate from [`run`] so the
-/// single-objective hot path never pays the per-candidate retention.
-///
-/// The returned vector is in generation order (ids strictly increasing),
-/// bit-identical for any thread count — the same contract [`run`] keeps.
-/// Empty when the source produced no candidates.
-pub(crate) fn run_collect(
-    ctx: &SearchCtx<'_>,
-    mut source: impl CandidateSource,
-) -> Vec<ScoredCandidate> {
-    let evaluator = ctx.evaluator();
-    let threads = ctx.budget.parallelism.threads();
-    let mut out: Vec<ScoredCandidate> = Vec::new();
-
-    loop {
-        let batch = {
-            let mut g = ctx.tel.span("search.generation");
-            let batch = source.next_batch();
-            g.push_arg("candidates", batch.len());
-            batch
-        };
-        if batch.is_empty() {
-            break;
-        }
-        debug_assert!(
-            batch.windows(2).all(|w| w[0].id < w[1].id),
-            "candidate ids must be strictly increasing in generation order"
-        );
-        let _eval_span = ctx
-            .tel
-            .span("search.evaluation")
-            .arg("candidates", batch.len())
-            .arg("threads", threads);
-        let scored = evaluate_batch(&evaluator, ctx.metric, &batch, threads);
-
-        let mut scores = Vec::with_capacity(scored.len());
-        for (cand, sc) in batch.into_iter().zip(scored) {
-            scores.push(sc.score);
-            out.push(ScoredCandidate {
+        for (cand, (eval, score)) in batch.into_iter().zip(scored) {
+            scores.push(score);
+            sink(ScoredCandidate {
                 schedule: cand.schedule,
-                eval: sc.eval,
-                score: sc.score,
+                eval,
+                score,
             });
         }
         drop(_eval_span);
         let _g = ctx.tel.span("search.generation");
         source.observe(&scores);
     }
-    out
 }
 
 /// Scores one batch on up to `threads` workers, results in batch order.
 ///
-/// The default (batched) path hands each worker a contiguous candidate
-/// *slice* and evaluates it through [`Evaluator::evaluate_windows`], which
-/// amortizes cost-database locking and evaluation setup across the slice.
-/// Per-candidate evaluation is pure and the chunked merge preserves batch
-/// order, so both paths — and every thread count — produce bit-identical
-/// results.
+/// Each worker gets a contiguous candidate *slice* and evaluates it
+/// through [`Evaluator::evaluate_windows`], which amortizes cost-database
+/// locking and evaluation setup across the slice. Per-candidate
+/// evaluation is pure and the chunked merge preserves batch order, so
+/// every thread count produces bit-identical results.
 fn evaluate_batch(
     evaluator: &Evaluator<'_>,
     metric: &OptMetric,
     batch: &[WindowCandidate],
     threads: usize,
-) -> Vec<Scored> {
-    if eval_batching_enabled() {
-        par_map_chunks(batch, threads, |chunk| {
-            let schedules: Vec<&WindowSchedule> = chunk.iter().map(|c| &c.schedule).collect();
-            evaluator
-                .evaluate_windows(&schedules)
-                .into_iter()
-                .map(|eval| {
-                    let score = metric.score(&eval.totals());
-                    Scored { eval, score }
-                })
-                .collect()
-        })
-    } else {
-        par_map(batch, threads, |cand| {
-            let eval = evaluator.evaluate_window(&cand.schedule);
-            let score = metric.score(&eval.totals());
-            Scored { eval, score }
-        })
-    }
+) -> Vec<(WindowEval, f64)> {
+    par_map_chunks(batch, threads, |chunk| {
+        let schedules: Vec<&WindowSchedule> = chunk.iter().map(|c| &c.schedule).collect();
+        evaluator
+            .evaluate_windows(&schedules)
+            .into_iter()
+            .map(|eval| {
+                let score = metric.score(&eval.totals());
+                (eval, score)
+            })
+            .collect()
+    })
 }

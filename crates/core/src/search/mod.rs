@@ -229,8 +229,23 @@ impl<'a> SearchCtx<'a> {
     }
 }
 
-/// Searches one window with the chosen driver: builds the driver's
-/// candidate source and drains it through the parallel evaluation engine.
+/// One window's search step: explores the window's candidate space with
+/// its search driver and picks the winner (`None` = no feasible
+/// candidate). The SCAR pipeline takes its step as a parameter, so
+/// selection rules plug into the one pipeline: [`search_window`] is
+/// SCAR's scalar step, and [`crate::zoo::NsgaScar`] plugs in NSGA-II
+/// selection.
+pub(crate) type WindowStep = fn(
+    &SearchCtx<'_>,
+    &TimeWindow,
+    &[Vec<usize>],
+    &SearchKind,
+    &mut StdRng,
+) -> Option<WindowSearchResult>;
+
+/// SCAR's scalar window step: the best candidate under the search metric
+/// (the earliest generated on ties) plus every candidate's totals. Keeps
+/// only the running best, never the candidate cloud itself.
 pub(crate) fn search_window(
     ctx: &SearchCtx<'_>,
     window: &TimeWindow,
@@ -238,65 +253,54 @@ pub(crate) fn search_window(
     kind: &SearchKind,
     rng: &mut StdRng,
 ) -> Option<WindowSearchResult> {
-    // source construction enumerates segmentation lists and seeds the
-    // candidate space — generation work, attributed as such
-    match kind {
-        SearchKind::BruteForce => {
-            let source = {
-                let _g = ctx
-                    .tel
-                    .span("search.generation")
-                    .arg("window", window.index);
-                brute::BruteSource::new(ctx, window, allocations, rng)
-            };
-            engine::run(ctx, source)
+    let mut best: Option<engine::ScoredCandidate> = None;
+    let mut candidates = Vec::new();
+    drain_window(ctx, window, allocations, kind, rng, |c| {
+        candidates.push(c.eval.totals());
+        // strict `<` keeps the earliest-generated candidate on ties
+        if best.as_ref().is_none_or(|b| c.score < b.score) {
+            best = Some(c);
         }
-        SearchKind::Evolutionary(p) => {
-            let source = {
-                let _g = ctx
-                    .tel
-                    .span("search.generation")
-                    .arg("window", window.index);
-                evolutionary::EvoSource::new(ctx, window, allocations, *p, rng)
-            };
-            engine::run(ctx, source)
-        }
-    }
+    });
+    best.map(|b| WindowSearchResult {
+        best: b.schedule,
+        eval: b.eval,
+        candidates,
+    })
 }
 
-/// [`search_window`]'s cloud-retaining sibling: drains the same driver
-/// stream through [`engine::run_collect`], returning **every** evaluated
-/// candidate (schedule + evaluation + scalar score) in generation order
-/// instead of only the scalar-best. Used by multi-objective selectors
-/// ([`nsga`], [`crate::zoo::NsgaScar`]) that pick their winner after
-/// seeing the whole window cloud. Empty = no feasible candidate.
-pub(crate) fn search_window_collect(
+/// Builds the search driver's candidate source for one window and drains
+/// it through the parallel evaluation engine, handing every scored
+/// candidate to `sink` in generation order.
+pub(crate) fn drain_window(
     ctx: &SearchCtx<'_>,
     window: &TimeWindow,
     allocations: &[Vec<usize>],
     kind: &SearchKind,
     rng: &mut StdRng,
-) -> Vec<engine::ScoredCandidate> {
+    sink: impl FnMut(engine::ScoredCandidate),
+) {
+    // source construction enumerates segmentation lists and seeds the
+    // candidate space — generation work, attributed as such
+    let span = || {
+        ctx.tel
+            .span("search.generation")
+            .arg("window", window.index)
+    };
     match kind {
         SearchKind::BruteForce => {
             let source = {
-                let _g = ctx
-                    .tel
-                    .span("search.generation")
-                    .arg("window", window.index);
+                let _g = span();
                 brute::BruteSource::new(ctx, window, allocations, rng)
             };
-            engine::run_collect(ctx, source)
+            engine::drain(ctx, source, sink);
         }
         SearchKind::Evolutionary(p) => {
             let source = {
-                let _g = ctx
-                    .tel
-                    .span("search.generation")
-                    .arg("window", window.index);
+                let _g = span();
                 evolutionary::EvoSource::new(ctx, window, allocations, *p, rng)
             };
-            engine::run_collect(ctx, source)
+            engine::drain(ctx, source, sink);
         }
     }
 }

@@ -1,53 +1,50 @@
-//! The scheduler zoo's core members: multi-objective and specialized
-//! variants of the SCAR pipeline, all behind the [`Scheduler`] trait.
+//! The scheduler zoo's core member: NSGA-II multi-objective selection
+//! plugged into the SCAR pipeline, behind the [`Scheduler`] trait.
 //!
+//! The zoo's other SCAR variants are not types at all but named
+//! [`Scar`] configurations (a report name plus structural knobs; see
+//! `scar_serve::zoo`). [`NsgaScar`] differs in *which candidate wins* a
+//! window, so it supplies only that rule and runs SCAR's one pipeline.
 //! Everything the trait integrates — session cost-database sharing,
 //! fingerprint-keyed serve caching, artifact recording
-//! ([`Scheduler::config`]) and registry-driven replay — comes for free;
-//! these types only change *which candidate wins* (or *how hard the
-//! search works*), never the determinism contract: every member is a
-//! pure function of `(request, config)` and bit-identical across
-//! `Serial`/`Fixed(N)` evaluation parallelism.
+//! ([`Scheduler::config`]) and registry-driven replay — comes for free,
+//! and so does the determinism contract: the result is a pure function of
+//! `(request, config)` and bit-identical across `Serial`/`Fixed(N)`
+//! evaluation parallelism.
 //!
 //! The serving-side catalog (doc cards, registry wiring, config-file
 //! front end) lives in `scar_serve::zoo`; DESIGN.md §14 renders the
 //! same catalog as a table.
 
-use crate::problem::{OptMetric, ScheduleError, ScheduleInstance};
-use crate::provision::{self, ProvisionRule};
-use crate::reconfig::{self, PackingRule};
-use crate::scar::{CandidatePoint, Scar, ScheduleResult};
+use crate::problem::{OptMetric, ScheduleError, ScheduleInstance, TimeWindow};
+use crate::scar::{Scar, ScheduleResult};
 use crate::scheduler::{ScheduleRequest, Scheduler, SchedulerConfig, Session};
 use crate::search::engine::ScoredCandidate;
-use crate::search::{self, nsga, SearchBudget, SearchCtx, SearchKind};
-use crate::ExpectedCosts;
-use crate::{EvalTotals, WindowEval};
+use crate::search::{self, nsga, SearchCtx, SearchKind, WindowSearchResult};
+use crate::WindowEval;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use scar_maestro::CostDatabase;
-use scar_mcm::McmConfig;
-use scar_telemetry::Telemetry;
-use scar_workloads::Scenario;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// NSGA-II Pareto-front multi-objective scheduler.
 ///
-/// Runs the unmodified SCAR pipeline (MCM-Reconfig → PROV → SEG → SCHED)
-/// but replaces each window's scalar-best selection with NSGA-II
-/// selection over the window's **full** evaluated candidate cloud
-/// (the search engine's collect-all entry point): candidates are scored
-/// on three
-/// minimized objectives — latency, energy, and a fairness/violation
-/// score (the spread between the slowest and fastest co-resident model,
-/// plus any constrained-latency violation) — then non-dominated sorted,
-/// and the winner is the knee of front 0 under the request metric
-/// ([`nsga::knee_point`]: minimal metric score, ties to the
-/// larger crowding distance, final ties to generation order).
+/// Runs the SCAR pipeline (MCM-Reconfig → PROV → SEG → SCHED) of the
+/// wrapped [`Scar`] — its structural knobs: window splits, packing,
+/// provisioning, search driver — but replaces each window's scalar-best
+/// selection with NSGA-II selection over the window's **full** evaluated
+/// candidate cloud: candidates are scored on three minimized objectives —
+/// latency, energy, and a fairness/violation score (the spread between
+/// the slowest and fastest co-resident model, plus any constrained-latency
+/// violation) — then non-dominated sorted, and the winner is the knee of
+/// front 0 under the request metric ([`nsga::knee_point`]: minimal metric
+/// score, ties to the larger crowding distance, final ties to generation
+/// order).
 ///
 /// Constraint handling follows the standard NSGA-II
 /// constraint-domination rule: when any candidate satisfies the window's
 /// latency bound, selection is restricted to the feasible subset;
 /// an all-infeasible cloud competes on (objectives + violation).
+///
+/// Preemptions take the trait default (a full NSGA search).
 ///
 /// Deterministic and `Serial ≡ Fixed(N)` bit-identical: the cloud
 /// arrives in generation order regardless of evaluation parallelism, and
@@ -55,181 +52,19 @@ use std::hash::{Hash, Hasher};
 /// earliest-generated candidate.
 #[derive(Debug)]
 pub struct NsgaScar {
-    nsplits: usize,
-    packing: PackingRule,
-    provisioning: ProvisionRule,
-    search: SearchKind,
-    /// Cross-search segmentation memo (observational, like [`Scar`]'s).
-    seg_memo: std::sync::Arc<crate::segmentation::SegMemo>,
+    scar: Scar,
 }
 
 impl Default for NsgaScar {
     fn default() -> Self {
-        Self::new()
+        Self::new(Scar::with_defaults())
     }
 }
 
 impl NsgaScar {
-    /// Defaults matching [`Scar::with_defaults`]'s structural knobs:
-    /// `nsplits = 4`, greedy packing, uniform provisioning, brute force.
-    pub fn new() -> Self {
-        Self {
-            nsplits: 4,
-            packing: PackingRule::Greedy,
-            provisioning: ProvisionRule::Uniform,
-            search: SearchKind::BruteForce,
-            seg_memo: std::sync::Arc::default(),
-        }
-    }
-
-    /// Number of time-window splits (§IV-A; default 4).
-    pub fn nsplits(mut self, n: usize) -> Self {
-        self.nsplits = n;
-        self
-    }
-
-    /// The per-window search driver (default: brute force).
-    pub fn search(mut self, kind: SearchKind) -> Self {
-        self.search = kind;
-        self
-    }
-
-    /// The SCAR pipeline with NSGA-II per-window selection (see the type
-    /// docs). Structure mirrors `Scar::schedule_core` stage for stage;
-    /// only the winner-picking differs.
-    fn schedule_core(
-        &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
-        metric: &OptMetric,
-        budget: &SearchBudget,
-        tel: &Telemetry,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let expected = {
-            let _g = tel.span("schedule.costs");
-            ExpectedCosts::compute(scenario, mcm, db)
-        };
-        let partition = {
-            let _g = tel.span("schedule.partition").arg("nsplits", self.nsplits);
-            reconfig::partition(scenario, &expected, self.nsplits, self.packing)
-        };
-        debug_assert!(partition.validate(scenario).is_ok());
-
-        let max_active = partition
-            .windows()
-            .iter()
-            .map(|w| w.active_models().len())
-            .max()
-            .unwrap_or(0);
-        if max_active > mcm.num_chiplets() {
-            return Err(ScheduleError::InsufficientChiplets {
-                needed: max_active,
-                available: mcm.num_chiplets(),
-            });
-        }
-
-        let window_metric = match metric {
-            OptMetric::ConstrainedEdp { max_latency_s } => OptMetric::ConstrainedEdp {
-                max_latency_s: max_latency_s / partition.len().max(1) as f64,
-            },
-            other => other.clone(),
-        };
-        let ctx = SearchCtx {
-            scenario,
-            mcm,
-            db,
-            expected: &expected,
-            metric: &window_metric,
-            budget,
-            warm_prefs: None,
-            seg_memo: Some(&self.seg_memo),
-            tel,
-        };
-
-        let mut rng = StdRng::seed_from_u64(budget.seed);
-        let mut window_schedules = Vec::with_capacity(partition.len());
-        let mut window_evals: Vec<WindowEval> = Vec::with_capacity(partition.len());
-        let mut per_window_candidates: Vec<Vec<EvalTotals>> = Vec::with_capacity(partition.len());
-
-        for window in partition.windows() {
-            let allocations = {
-                let _g = tel.span("schedule.provision").arg("window", window.index);
-                provision::allocations(
-                    window,
-                    scenario,
-                    &expected,
-                    metric,
-                    mcm.num_chiplets(),
-                    self.provisioning,
-                    budget.node_constraint,
-                )
-            };
-            if allocations.is_empty() {
-                return Err(ScheduleError::InsufficientChiplets {
-                    needed: window.active_models().len(),
-                    available: mcm.num_chiplets(),
-                });
-            }
-            let cloud =
-                search::search_window_collect(&ctx, window, &allocations, &self.search, &mut rng);
-            if cloud.is_empty() {
-                return Err(ScheduleError::NoFeasibleSchedule {
-                    window: window.index,
-                });
-            }
-            let winner = {
-                let _g = tel
-                    .span("schedule.nsga")
-                    .arg("window", window.index)
-                    .arg("candidates", cloud.len());
-                nsga_select(&cloud, &window_metric)
-            };
-            let totals: Vec<EvalTotals> = cloud.iter().map(|c| c.eval.totals()).collect();
-            let ScoredCandidate { schedule, eval, .. } = cloud
-                .into_iter()
-                .nth(winner)
-                .expect("nsga_select returns an in-range index");
-            per_window_candidates.push(totals);
-            window_schedules.push(schedule);
-            window_evals.push(eval);
-        }
-
-        let schedule = ScheduleInstance {
-            windows: window_schedules,
-        };
-        schedule.validate(scenario, mcm.num_chiplets())?;
-
-        // full-schedule candidate cloud, exactly as SCAR builds it: swap
-        // one window's candidate into the otherwise-best schedule
-        let best_totals: Vec<EvalTotals> = window_evals.iter().map(|e| e.totals()).collect();
-        let total_best = best_totals
-            .iter()
-            .fold(EvalTotals::default(), |mut acc, t| {
-                acc.accumulate(*t);
-                acc
-            });
-        let mut candidates = Vec::new();
-        for (w, cands) in per_window_candidates.iter().enumerate() {
-            for c in cands {
-                candidates.push(CandidatePoint {
-                    latency_s: total_best.latency_s - best_totals[w].latency_s + c.latency_s,
-                    energy_j: total_best.energy_j - best_totals[w].energy_j + c.energy_j,
-                });
-            }
-        }
-
-        let _g = tel.span("schedule.finalize");
-        Ok(ScheduleResult::from_instance(
-            mcm.name(),
-            scenario,
-            mcm,
-            db,
-            metric.clone(),
-            schedule,
-            candidates,
-            budget.parallelism,
-        ))
+    /// NSGA-II selection over `scar`'s pipeline and structural knobs.
+    pub fn new(scar: Scar) -> Self {
+        Self { scar }
     }
 }
 
@@ -243,49 +78,63 @@ impl Scheduler for NsgaScar {
         session: &Session,
         request: &ScheduleRequest,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let tel = session.telemetry();
-        let _g = tel
-            .span("schedule.run")
-            .arg_opt("tag", request.trace_tag.as_deref());
-        self.schedule_core(
-            &request.scenario,
-            &request.mcm,
-            session.database(),
-            &request.metric,
-            &request.budget,
-            tel,
-        )
+        self.scar.schedule_with(session, request, nsga_window)
     }
 
     fn supports_reschedule(&self) -> bool {
         true
     }
 
-    /// Same incremental fast path as SCAR's: re-evaluate the prior
-    /// instance as a seeded candidate (search-free, so no NSGA selection
-    /// is involved); `None` when the seed no longer validates.
+    /// SCAR's incremental fast path: re-evaluate the prior instance as a
+    /// seeded candidate (search-free, so no NSGA selection is involved);
+    /// `None` when the seed no longer validates.
     fn reschedule(
         &self,
         session: &Session,
         request: &ScheduleRequest,
         seed: &ScheduleInstance,
     ) -> Option<ScheduleResult> {
-        reschedule_seeded(session, request, seed)
+        self.scar.reschedule(session, request, seed)
     }
 
     fn config(&self) -> SchedulerConfig {
-        SchedulerConfig {
-            nsplits: Some(self.nsplits),
-            search: Some(self.search.clone()),
-        }
+        self.scar.config()
     }
 
-    fn fingerprint_config(&self, mut state: &mut dyn Hasher) {
-        self.nsplits.hash(&mut state);
-        self.packing.hash(&mut state);
-        self.provisioning.hash(&mut state);
-        hash_search_kind(&self.search, &mut state);
+    fn fingerprint_config(&self, state: &mut dyn Hasher) {
+        self.scar.fingerprint_config(state);
     }
+}
+
+/// NSGA-SCAR's window step: drains the window's whole candidate cloud and
+/// picks the winner with [`nsga_select`].
+fn nsga_window(
+    ctx: &SearchCtx<'_>,
+    window: &TimeWindow,
+    allocations: &[Vec<usize>],
+    kind: &SearchKind,
+    rng: &mut StdRng,
+) -> Option<WindowSearchResult> {
+    let mut cloud = Vec::new();
+    search::drain_window(ctx, window, allocations, kind, rng, |c| cloud.push(c));
+    if cloud.is_empty() {
+        return None;
+    }
+    let winner = {
+        let _g = ctx
+            .tel
+            .span("schedule.nsga")
+            .arg("window", window.index)
+            .arg("candidates", cloud.len());
+        nsga_select(&cloud, ctx.metric)
+    };
+    let candidates = cloud.iter().map(|c| c.eval.totals()).collect();
+    let ScoredCandidate { schedule, eval, .. } = cloud.swap_remove(winner);
+    Some(WindowSearchResult {
+        best: schedule,
+        eval,
+        candidates,
+    })
 }
 
 /// NSGA-II selection over one window's scored cloud (see [`NsgaScar`]):
@@ -367,253 +216,12 @@ fn fairness_spread(eval: &WindowEval) -> f64 {
     }
 }
 
-/// The shared seeded-reschedule fast path: validate the prior instance
-/// against the request and re-evaluate it search-free (what
-/// `Scar::evaluate_seeded` does, for zoo members that don't wrap a
-/// [`Scar`]).
-fn reschedule_seeded(
-    session: &Session,
-    request: &ScheduleRequest,
-    seed: &ScheduleInstance,
-) -> Option<ScheduleResult> {
-    seed.validate(&request.scenario, request.mcm.num_chiplets())
-        .ok()?;
-    let _g = session.telemetry().span("schedule.seeded");
-    Some(ScheduleResult::from_instance(
-        request.mcm.name(),
-        &request.scenario,
-        &request.mcm,
-        session.database(),
-        request.metric.clone(),
-        seed.clone(),
-        Vec::new(),
-        request.budget.parallelism,
-    ))
-}
-
-fn hash_search_kind(kind: &SearchKind, mut state: &mut dyn Hasher) {
-    match kind {
-        SearchKind::BruteForce => 0u8.hash(&mut state),
-        SearchKind::Evolutionary(p) => {
-            1u8.hash(&mut state);
-            p.population.hash(&mut state);
-            p.generations.hash(&mut state);
-            p.mutation_rate.to_bits().hash(&mut state);
-        }
-    }
-}
-
-/// Scope-style merged-pipeline scheduler: co-resident models are fused
-/// into **one** pipelined allocation — a single time window covering
-/// every model end to end — before segmentation, instead of SCAR's
-/// reconfiguration splits.
-///
-/// Concretely this is the SCAR pipeline at `nsplits = 0` (one unbounded
-/// window): every model is provisioned, segmented, and placed once, and
-/// the whole mix executes as one merged pipeline with no
-/// reconfiguration boundaries. That is exactly the trade the Scope paper
-/// makes — no reconfiguration overhead or idle boundary bubbles, at the
-/// price of coarser sharing (a straggler model pins the whole window,
-/// and the package must fit all models concurrently).
-///
-/// Delegates every trait entry to an inner [`Scar`] pinned at
-/// `nsplits = 0`; the distinct [`Scheduler::name`] keeps its cache
-/// entries and artifacts from aliasing SCAR's.
-#[derive(Debug, Clone)]
-pub struct MergedPipeline {
-    inner: Scar,
-}
-
-impl Default for MergedPipeline {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MergedPipeline {
-    /// A merged pipeline under the default (brute-force) window search.
-    pub fn new() -> Self {
-        Self::with_search(SearchKind::BruteForce)
-    }
-
-    /// A merged pipeline exploring the fused window with `search`.
-    pub fn with_search(search: SearchKind) -> Self {
-        Self {
-            inner: Scar::builder().nsplits(0).search(search).build(),
-        }
-    }
-}
-
-impl Scheduler for MergedPipeline {
-    fn name(&self) -> &str {
-        "Merged-Pipeline"
-    }
-
-    fn schedule(
-        &self,
-        session: &Session,
-        request: &ScheduleRequest,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        self.inner.schedule(session, request)
-    }
-
-    fn supports_reschedule(&self) -> bool {
-        self.inner.supports_reschedule()
-    }
-
-    fn reschedule(
-        &self,
-        session: &Session,
-        request: &ScheduleRequest,
-        seed: &ScheduleInstance,
-    ) -> Option<ScheduleResult> {
-        self.inner.reschedule(session, request, seed)
-    }
-
-    fn preempt(
-        &self,
-        session: &Session,
-        request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        self.inner.preempt(session, request, in_flight)
-    }
-
-    fn preempt_fingerprint(
-        &self,
-        request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-        state: &mut dyn Hasher,
-    ) {
-        self.inner.preempt_fingerprint(request, in_flight, state);
-    }
-
-    /// Records `nsplits = 0` — the merged-pipeline invariant — so replay
-    /// reconstructs the fused window even under a different default.
-    fn config(&self) -> SchedulerConfig {
-        self.inner.config()
-    }
-
-    fn fingerprint_config(&self, state: &mut dyn Hasher) {
-        self.inner.fingerprint_config(state);
-    }
-}
-
-/// Preempt-specialized SCAR: identical cold-start scheduling, but
-/// mid-window preemptions ([`Scheduler::preempt`]) run under a further
-/// pre-trimmed search budget — trading search breadth for splice
-/// latency, for serving mixes where preemptions are frequent and the
-/// time spent re-searching *is* the overload.
-///
-/// The trim composes with SCAR's own splice neighborhood: the request's
-/// budget is cut before delegation (`splice_budget`), then
-/// `Scar::preempt` applies its warm-hint mining and its own trim on top.
-/// The incumbent-is-a-candidate guard survives delegation, so a splice
-/// can still never answer worse than the plan it replaces under the
-/// request metric. Deterministic: the budget transform is pure, and the
-/// inner search derives all randomness from the request's seed.
-#[derive(Debug, Clone)]
-pub struct SpliceScar {
-    inner: Scar,
-}
-
-impl Default for SpliceScar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SpliceScar {
-    /// Defaults matching [`Scar::with_defaults`] (`nsplits = 4`, brute
-    /// force) — only the preempt path differs.
-    pub fn new() -> Self {
-        Self::with_config(4, SearchKind::BruteForce)
-    }
-
-    /// A splice-specialized SCAR with explicit structural knobs.
-    pub fn with_config(nsplits: usize, search: SearchKind) -> Self {
-        Self {
-            inner: Scar::builder().nsplits(nsplits).search(search).build(),
-        }
-    }
-}
-
-/// The splice-latency budget cut applied *before* delegating to
-/// [`Scar`]'s preempt path (which trims further): a quarter of the
-/// segmentation enumeration and half the placement/candidate caps, with
-/// the same floors SCAR's own trim enforces so tiny budgets never
-/// degenerate to an empty search.
-fn splice_budget(b: &SearchBudget) -> SearchBudget {
-    SearchBudget {
-        max_segmentations_enumerated: (b.max_segmentations_enumerated / 4).max(500),
-        max_placements_per_window: (b.max_placements_per_window / 2).max(12),
-        max_candidates_per_window: (b.max_candidates_per_window / 2).max(24),
-        ..b.clone()
-    }
-}
-
-impl Scheduler for SpliceScar {
-    fn name(&self) -> &str {
-        "SCAR-splice"
-    }
-
-    fn schedule(
-        &self,
-        session: &Session,
-        request: &ScheduleRequest,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        self.inner.schedule(session, request)
-    }
-
-    fn supports_reschedule(&self) -> bool {
-        self.inner.supports_reschedule()
-    }
-
-    fn reschedule(
-        &self,
-        session: &Session,
-        request: &ScheduleRequest,
-        seed: &ScheduleInstance,
-    ) -> Option<ScheduleResult> {
-        self.inner.reschedule(session, request, seed)
-    }
-
-    fn preempt(
-        &self,
-        session: &Session,
-        request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let trimmed = ScheduleRequest {
-            budget: splice_budget(&request.budget),
-            ..request.clone()
-        };
-        self.inner.preempt(session, &trimmed, in_flight)
-    }
-
-    fn preempt_fingerprint(
-        &self,
-        request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-        state: &mut dyn Hasher,
-    ) {
-        self.inner.preempt_fingerprint(request, in_flight, state);
-    }
-
-    fn config(&self) -> SchedulerConfig {
-        self.inner.config()
-    }
-
-    fn fingerprint_config(&self, state: &mut dyn Hasher) {
-        self.inner.fingerprint_config(state);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto_front;
+    use crate::{pareto_front, SearchBudget};
     use scar_mcm::templates::{het_sides_3x3, Profile};
+    use scar_workloads::Scenario;
 
     fn small_budget() -> SearchBudget {
         SearchBudget {
@@ -633,7 +241,7 @@ mod tests {
     #[test]
     fn nsga_scar_schedules_and_its_front_is_nondominated() {
         let session = Session::new();
-        let s = NsgaScar::new().nsplits(1);
+        let s = NsgaScar::new(Scar::builder().nsplits(1).build());
         let r = s.schedule(&session, &request()).expect("schedules");
         assert!(!r.candidates().is_empty(), "cloud recorded");
         let front = r.pareto_front();
@@ -659,8 +267,7 @@ mod tests {
             let session = Session::new();
             let mut req = request();
             req.budget.parallelism = p;
-            NsgaScar::new()
-                .nsplits(1)
+            NsgaScar::new(Scar::builder().nsplits(1).build())
                 .schedule(&session, &req)
                 .expect("schedules")
         };
@@ -675,8 +282,6 @@ mod tests {
     fn nsga_select_prefers_feasible_then_knee() {
         // Synthetic selection check without the pipeline: feasible
         // candidates gate out violators, then the metric knee wins.
-        use crate::search::engine::ScoredCandidate;
-        use crate::WindowEval;
         let cand = |lat: f64, en: f64, score: f64| ScoredCandidate {
             schedule: crate::WindowSchedule {
                 window: crate::TimeWindow {
@@ -705,53 +310,5 @@ mod tests {
         // scalar tie between 1 and 2 → both boundary (infinite crowding)
         // → earliest generation wins
         assert_eq!(w, 1);
-    }
-
-    #[test]
-    fn merged_pipeline_fuses_into_one_window() {
-        let session = Session::new();
-        let r = MergedPipeline::new()
-            .schedule(&session, &request())
-            .expect("schedules");
-        assert_eq!(
-            r.schedule().windows.len(),
-            1,
-            "merged pipeline = a single fused window"
-        );
-        let cfg = MergedPipeline::new().config();
-        assert_eq!(cfg.nsplits, Some(0));
-    }
-
-    #[test]
-    fn splice_scar_schedules_like_scar_and_trims_preempts() {
-        let session = Session::new();
-        let req = request();
-        let scar = Scar::builder().nsplits(1).build();
-        let splice = SpliceScar::with_config(1, SearchKind::BruteForce);
-        let a = scar.schedule(&session, &req).expect("scar");
-        let b = splice.schedule(&session, &req).expect("splice");
-        assert_eq!(a.schedule(), b.schedule(), "cold path is unchanged");
-        // the preempt path trims but still answers, and the incumbent
-        // guard keeps it no worse than the cut plan under the metric
-        let cut = a.schedule().clone();
-        let p = splice.preempt(&session, &req, &cut).expect("splices");
-        assert!(
-            req.metric.score(&p.total()) <= req.metric.score(&a.total()),
-            "incumbent-is-a-candidate survives delegation"
-        );
-        // the budget transform is a pure trim with floors
-        let trimmed = splice_budget(&req.budget);
-        assert!(trimmed.max_segmentations_enumerated <= req.budget.max_segmentations_enumerated);
-        assert!(trimmed.max_placements_per_window <= req.budget.max_placements_per_window);
-        assert_eq!(trimmed.seed, req.budget.seed);
-        let tiny = splice_budget(&SearchBudget {
-            max_segmentations_enumerated: 1,
-            max_placements_per_window: 1,
-            max_candidates_per_window: 1,
-            ..SearchBudget::default()
-        });
-        assert_eq!(tiny.max_segmentations_enumerated, 500);
-        assert_eq!(tiny.max_placements_per_window, 12);
-        assert_eq!(tiny.max_candidates_per_window, 24);
     }
 }

@@ -484,6 +484,10 @@ mod tests {
         let (full, shape) = fingerprints(&req, &Standalone::new());
         assert_eq!(full, 0xde94deb8109953fb, "full fingerprint moved");
         assert_eq!(shape, 0x5108e5b95f9d3299, "shape fingerprint moved");
+        // SCAR's default configuration hashes its structural knobs too
+        let (full, shape) = fingerprints(&req, &Scar::with_defaults());
+        assert_eq!(full, 0xde6839881ba41dd7, "SCAR full fingerprint moved");
+        assert_eq!(shape, 0x081972f0a2c098f5, "SCAR shape fingerprint moved");
     }
 
     /// The satellite regression this PR fixes: serve-cache keys must

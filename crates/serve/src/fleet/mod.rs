@@ -74,7 +74,8 @@ pub use dispatch::{
 pub use report::{FabricRollup, FleetReport, ReplicaReport};
 
 use crate::cache::CacheStats;
-use crate::sim::{ServeConfig, ServePolicy, ServeSim};
+use crate::registry::PolicyRegistry;
+use crate::sim::{ServeConfig, ServeSim};
 use crate::traffic::{Request, TrafficMix};
 use scar_core::{ScheduleError, Session};
 use scar_mcm::templates::{self, Profile};
@@ -369,7 +370,9 @@ impl FleetSim {
                 Some(session) => {
                     // sharing: the fleet persists the snapshot itself
                     cfg.cost_db_path = None;
-                    let scheduler = ServePolicy::Scar.scheduler(&cfg);
+                    let scheduler = PolicyRegistry::with_builtins()
+                        .build("SCAR", &cfg)
+                        .expect("SCAR is a built-in policy");
                     let mut sim = ServeSim::with_session(&spec.mcm, scheduler, cfg, session);
                     let report = sim.run_arrivals(mix, share)?;
                     shared_session = Some(sim.into_session());

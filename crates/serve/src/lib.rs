@@ -16,8 +16,9 @@
 //! * [`sim`] — the serving loop ([`ServeSim`]): batches queued requests
 //!   into live [`Scenario`](scar_workloads::Scenario)s and schedules them
 //!   through a boxed [`Scheduler`](scar_core::Scheduler) — SCAR, a paper
-//!   baseline (pick one by name with [`ServePolicy`]), or any custom
-//!   implementation — over one [`Session`](scar_core::Session)-wide cost
+//!   baseline, a zoo member (pick any by name from the
+//!   [`PolicyRegistry`]), or any custom implementation — over one
+//!   [`Session`](scar_core::Session)-wide cost
 //!   database, advancing virtual time by the evaluated window latencies
 //!   and completing each tenant's requests at its own last-active-window
 //!   offset. With [`ServeConfig::preemption`] on, a qualifying arrival
@@ -28,10 +29,15 @@
 //!   accept-all, deadline-feasibility via a cheap cost-database probe,
 //!   and per-stream load shedding; rejections are counted into every
 //!   report (`offered == completed + rejected`, always).
-//! * [`registry`] — the policy registry ([`PolicyRegistry`]): serving
-//!   policies constructed from config strings (`SCAR`/`Standalone`/
-//!   `NN-baton` pre-registered, user schedulers registrable), so tools
-//!   and config files name schedulers instead of hard-coding them.
+//! * [`registry`] — the policy registry ([`PolicyRegistry`]), the single
+//!   front door for serving policies: schedulers constructed from config
+//!   strings (`SCAR`/`Standalone`/`NN-baton` pre-registered, user
+//!   schedulers registrable), so tools and config files name schedulers
+//!   instead of hard-coding them.
+//! * [`zoo`] — the documented scheduler zoo ([`PolicyRegistry::with_zoo`]
+//!   and its doc cards): NSGA-SCAR plus two named SCAR configurations,
+//!   Merged-Pipeline (`nsplits = 0`) and SCAR-splice (trimmed preempt
+//!   budget), and the JSON policy-file front end ([`PolicyFile`]).
 //! * [`cache`] — the bounded LRU schedule cache ([`ScheduleCache`]):
 //!   recurring traffic shapes (the common case under frame clocks) skip
 //!   the expensive tree search entirely; hit/miss/eviction counters
@@ -94,6 +100,6 @@ pub use fleet::{
 };
 pub use registry::{PolicyFactory, PolicyRegistry, UnknownPolicy};
 pub use report::{percentile, LatencySummary, ServeReport, StreamStats};
-pub use sim::{ServeConfig, ServePolicy, ServeSim};
+pub use sim::{ServeConfig, ServeSim};
 pub use traffic::{ArrivalProcess, Request, RequestStream, TrafficMix, TrafficShape};
 pub use zoo::{catalog, render_catalog, PolicyFile, ZooCard};

@@ -3,10 +3,9 @@
 //! `serve_sim`, the bench binaries, and the replay harness all need to
 //! turn *names* (from an environment variable, a CLI flag, a JSON config,
 //! a recorded [`ScheduleArtifact`](scar_core::ScheduleArtifact)) into
-//! scheduler values. Before this module, that was a hard-coded `match` on
-//! [`ServePolicy`](crate::ServePolicy) — closed to user schedulers and duplicated by every
-//! tool that read a config. [`PolicyRegistry`] replaces the match with a
-//! name → factory table:
+//! scheduler values. [`PolicyRegistry`] is the one front door for that: a
+//! name → factory table open to user schedulers, instead of a hard-coded
+//! per-policy `match` duplicated by every tool that reads a config:
 //!
 //! * the three paper schedulers (`"SCAR"`, `"Standalone"`, `"NN-baton"`)
 //!   are pre-registered in [`PolicyRegistry::with_builtins`];
@@ -31,7 +30,7 @@
 
 use crate::sim::ServeConfig;
 use scar_core::baselines::{NnBaton, Standalone};
-use scar_core::{Scar, Scheduler};
+use scar_core::{Scar, ScarBuilder, Scheduler};
 use std::fmt;
 
 /// A scheduler constructor: builds a fresh boxed [`Scheduler`] for a
@@ -59,6 +58,14 @@ impl fmt::Display for UnknownPolicy {
 }
 
 impl std::error::Error for UnknownPolicy {}
+
+/// A SCAR builder carrying `cfg`'s structural knobs (window splits and
+/// search driver): the base of every SCAR-family registry entry.
+pub(crate) fn scar_builder(cfg: &ServeConfig) -> ScarBuilder {
+    Scar::builder()
+        .nsplits(cfg.nsplits)
+        .search(cfg.search.clone())
+}
 
 /// A name → scheduler-factory table (see the module docs).
 ///
@@ -98,14 +105,7 @@ impl PolicyRegistry {
     /// configuration-free.
     pub fn with_builtins() -> Self {
         let mut r = Self::empty();
-        r.register("SCAR", |cfg| {
-            Box::new(
-                Scar::builder()
-                    .nsplits(cfg.nsplits)
-                    .search(cfg.search.clone())
-                    .build(),
-            )
-        });
+        r.register("SCAR", |cfg| Box::new(scar_builder(cfg).build()));
         r.register("Standalone", |_| Box::new(Standalone::new()));
         r.register("NN-baton", |_| Box::new(NnBaton::new()));
         r

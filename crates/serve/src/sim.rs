@@ -42,6 +42,7 @@
 
 use crate::admission::{AdmissionContext, AdmissionKind, AdmissionPolicy};
 use crate::cache::{fingerprint_parts_in_context, ScheduleCache, ServeContext};
+use crate::registry::PolicyRegistry;
 use crate::report::{LatencySummary, ServeReport, StreamStats};
 use crate::traffic::{Request, RequestStream, TrafficMix};
 use scar_core::{
@@ -56,56 +57,15 @@ use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
-/// The built-in serving policies: a compatibility shim over the
-/// [`Scheduler`] trait.
-///
-/// [`ServeSim`] holds a `Box<dyn Scheduler>`; this enum only names the
-/// three paper schedulers so callers can pick one without constructing it
-/// ([`ServeSim::with_policy`]). Custom schedulers go straight through
-/// [`ServeSim::with_scheduler`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServePolicy {
-    /// The full SCAR pipeline (MCM-Reconfig → PROV → SEG → SCHED).
-    Scar,
-    /// The Standalone baseline: one chiplet per live model.
-    Standalone,
-    /// The NN-baton-like baseline: live models run sequentially.
-    NnBaton,
-}
-
-impl ServePolicy {
-    /// Short policy label for reports (matches the built scheduler's
-    /// [`Scheduler::name`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServePolicy::Scar => "SCAR",
-            ServePolicy::Standalone => "Standalone",
-            ServePolicy::NnBaton => "NN-baton",
-        }
-    }
-
-    /// Builds the named scheduler through the standard
-    /// [`PolicyRegistry`](crate::PolicyRegistry) (this enum is now purely
-    /// a convenience over registry names — the per-policy `match` that
-    /// used to live here is gone). SCAR takes its structural knobs
-    /// (window splits, search driver) from `cfg`; the baselines are
-    /// configuration-free.
-    pub fn scheduler(&self, cfg: &ServeConfig) -> Box<dyn Scheduler> {
-        crate::registry::PolicyRegistry::with_builtins()
-            .build(self.name(), cfg)
-            .expect("built-in policies are pre-registered")
-    }
-}
-
 /// Serving-loop configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Optimization metric for every window schedule.
     pub metric: OptMetric,
     /// SCAR window splits per live scenario (live scenarios are small;
-    /// 1 keeps scheduling cheap and windows short). Consumed by
-    /// [`ServePolicy::scheduler`] when building the SCAR policy; ignored
-    /// for schedulers passed in via [`ServeSim::with_scheduler`].
+    /// 1 keeps scheduling cheap and windows short). Consumed by the
+    /// [`PolicyRegistry`] factories when building a SCAR-family policy;
+    /// ignored for schedulers passed in via [`ServeSim::with_scheduler`].
     pub nsplits: usize,
     /// Per-window search driver (same scope as `nsplits`).
     pub search: SearchKind,
@@ -354,16 +314,12 @@ impl std::fmt::Debug for ServeSim<'_> {
 }
 
 impl<'a> ServeSim<'a> {
-    /// A simulator over `mcm` serving with the SCAR policy built from
-    /// `cfg` (the common case).
+    /// A simulator over `mcm` serving with the registry's SCAR policy
+    /// built from `cfg` (the common case).
     pub fn new(mcm: &'a McmConfig, cfg: ServeConfig) -> Self {
-        Self::with_policy(mcm, ServePolicy::Scar, cfg)
-    }
-
-    /// Compatibility constructor: a simulator serving with a named
-    /// built-in policy.
-    pub fn with_policy(mcm: &'a McmConfig, policy: ServePolicy, cfg: ServeConfig) -> Self {
-        let scheduler = policy.scheduler(&cfg);
+        let scheduler = PolicyRegistry::with_builtins()
+            .build("SCAR", &cfg)
+            .expect("SCAR is a built-in policy");
         Self::with_scheduler(mcm, scheduler, cfg)
     }
 
@@ -1136,6 +1092,14 @@ mod tests {
         het_sides_3x3(Profile::ArVr)
     }
 
+    /// A simulator serving the registry's built-in policy `name`.
+    fn sim_with<'a>(mcm: &'a scar_mcm::McmConfig, name: &str, cfg: ServeConfig) -> ServeSim<'a> {
+        let scheduler = PolicyRegistry::with_builtins()
+            .build(name, &cfg)
+            .expect("built-in policy");
+        ServeSim::with_scheduler(mcm, scheduler, cfg)
+    }
+
     #[test]
     fn serves_all_requests_and_reports() {
         let mcm = sim_mcm();
@@ -1190,13 +1154,13 @@ mod tests {
     #[test]
     fn baseline_policies_serve_too() {
         let mcm = sim_mcm();
-        for policy in [ServePolicy::Standalone, ServePolicy::NnBaton] {
-            let mut sim = ServeSim::with_policy(&mcm, policy.clone(), ServeConfig::default());
+        for policy in ["Standalone", "NN-baton"] {
+            let mut sim = sim_with(&mcm, policy, ServeConfig::default());
             let report = sim.run(&TrafficMix::arvr(2), 0.05).unwrap();
-            assert!(report.completed > 0, "{policy:?}");
+            assert!(report.completed > 0, "{policy}");
             assert!(
-                report.policy_name.starts_with(policy.name()),
-                "{policy:?} must be named in {:?}",
+                report.policy_name.starts_with(policy),
+                "{policy} must be named in {:?}",
                 report.policy_name
             );
         }
@@ -1230,8 +1194,7 @@ mod tests {
         assert!(report.policy_name.starts_with("custom-standalone"));
         // identical outcomes to the built-in Standalone policy: the
         // wrapper changes only the fingerprint identity
-        let mut builtin =
-            ServeSim::with_policy(&mcm, ServePolicy::Standalone, ServeConfig::default());
+        let mut builtin = sim_with(&mcm, "Standalone", ServeConfig::default());
         let b = builtin.run(&TrafficMix::arvr(2), 0.05).unwrap();
         assert_eq!(report.latency, b.latency);
         assert_eq!(report.energy_j, b.energy_j);
@@ -1327,7 +1290,7 @@ mod tests {
             incremental: true,
             ..ServeConfig::default()
         };
-        let mut sim = ServeSim::with_policy(&mcm, ServePolicy::Standalone, cfg);
+        let mut sim = sim_with(&mcm, "Standalone", cfg);
         let report = sim.run(&TrafficMix::arvr(1), 0.1).unwrap();
         assert_eq!(report.incremental_reschedules, 0);
     }

@@ -15,11 +15,9 @@
 //! wins. Unknown policy names fail with the registry's
 //! [`UnknownPolicy`] error, which lists every registered name.
 
-use crate::registry::{PolicyRegistry, UnknownPolicy};
+use crate::registry::{scar_builder, PolicyRegistry, UnknownPolicy};
 use crate::sim::ServeConfig;
-use scar_core::{
-    EvoParams, MergedPipeline, NsgaScar, Scheduler, SchedulerConfig, SearchKind, SpliceScar,
-};
+use scar_core::{EvoParams, NsgaScar, Scheduler, SchedulerConfig, SearchKind};
 use serde::Value;
 
 /// One zoo entry's doc card (the scx example-schedulers idiom: overview,
@@ -121,26 +119,30 @@ pub fn render_catalog() -> String {
 impl PolicyRegistry {
     /// The zoo registry: the three paper schedulers of
     /// [`PolicyRegistry::with_builtins`] plus the zoo members —
-    /// `"NSGA-SCAR"`, `"Merged-Pipeline"`, `"SCAR-splice"` — each
-    /// reading the structural knobs ([`ServeConfig::nsplits`],
+    /// `"NSGA-SCAR"` (NSGA-II selection in SCAR's pipeline) and two named
+    /// SCAR configurations, `"Merged-Pipeline"` and `"SCAR-splice"` —
+    /// each reading the structural knobs ([`ServeConfig::nsplits`],
     /// [`ServeConfig::search`]) it honors. One card per name in
     /// [`catalog`], enforced by test.
     pub fn with_zoo() -> Self {
         let mut r = Self::with_builtins();
         r.register("NSGA-SCAR", |cfg| {
-            Box::new(
-                NsgaScar::new()
-                    .nsplits(cfg.nsplits)
-                    .search(cfg.search.clone()),
-            )
+            Box::new(NsgaScar::new(scar_builder(cfg).build()))
         });
         r.register("Merged-Pipeline", |cfg| {
-            // nsplits is pinned to 0 by construction (the merged-pipeline
-            // invariant); only the search driver is configurable
-            Box::new(MergedPipeline::with_search(cfg.search.clone()))
+            // Scope-style merged pipeline: SCAR at nsplits = 0, one fused
+            // window for every co-resident model. The split count is
+            // pinned by definition; only the search driver is configurable
+            Box::new(scar_builder(cfg).name("Merged-Pipeline").nsplits(0).build())
         });
         r.register("SCAR-splice", |cfg| {
-            Box::new(SpliceScar::with_config(cfg.nsplits, cfg.search.clone()))
+            // SCAR with preemptions answered under a pre-trimmed budget
+            Box::new(
+                scar_builder(cfg)
+                    .name("SCAR-splice")
+                    .splice_trim(true)
+                    .build(),
+            )
         });
         r
     }
@@ -458,5 +460,28 @@ mod tests {
         );
         let splice = registry.build("scar-splice", &cfg).unwrap();
         assert_eq!(splice.config().nsplits, Some(3));
+    }
+
+    /// SCAR-splice is SCAR plus the splice trim: at equal nsplits and
+    /// search its recorded config matches SCAR's, but its config hash
+    /// does not, since the trim changes what a preemption answers.
+    #[test]
+    fn splice_trim_is_configuration() {
+        use scar_hash::StableHasher;
+        use std::hash::Hasher;
+        let registry = PolicyRegistry::with_zoo();
+        let cfg = ServeConfig::default();
+        let config_hash = |name: &str| {
+            let mut h = StableHasher::new();
+            registry
+                .build(name, &cfg)
+                .unwrap()
+                .fingerprint_config(&mut h);
+            h.finish()
+        };
+        let scar = registry.build("SCAR", &cfg).unwrap();
+        let splice = registry.build("SCAR-splice", &cfg).unwrap();
+        assert_eq!(scar.config(), splice.config());
+        assert_ne!(config_hash("SCAR"), config_hash("SCAR-splice"));
     }
 }

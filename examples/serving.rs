@@ -6,7 +6,7 @@
 //! ```
 
 use scar::mcm::templates::{het_sides_3x3, Profile};
-use scar::serve::{ServeConfig, ServePolicy, ServeSim, TrafficMix};
+use scar::serve::{PolicyRegistry, ServeConfig, ServeSim, TrafficMix};
 
 fn main() {
     // XRBench-style social pipeline (paper Sc9): EyeCod gaze tracking at
@@ -35,17 +35,17 @@ fn main() {
     );
 
     // policy comparison under identical traffic: every policy is a boxed
-    // `Scheduler` behind the same serving loop
-    for policy in [
-        ServePolicy::Scar,
-        ServePolicy::Standalone,
-        ServePolicy::NnBaton,
-    ] {
-        let mut sim = ServeSim::with_policy(&mcm, policy.clone(), ServeConfig::default());
+    // `Scheduler`, built by name from the registry, behind the same
+    // serving loop
+    let registry = PolicyRegistry::with_builtins();
+    for policy in registry.names() {
+        let cfg = ServeConfig::default();
+        let scheduler = registry.build(policy, &cfg).expect("registered name");
+        let mut sim = ServeSim::with_scheduler(&mcm, scheduler, cfg);
         let r = sim.run(&mix, 0.5).expect("every policy fits this mix");
         println!(
             "{:<12} throughput {:>6.1} req/s | p99 {:>8.2} ms | miss rate {:>5.1}% | energy {:.3} J",
-            policy.name(),
+            policy,
             r.throughput_rps,
             r.latency.p99_s * 1e3,
             r.deadline_miss_rate() * 100.0,

@@ -1,9 +1,8 @@
-//! Integration tests for the `Scheduler` trait redesign: every scheduler
-//! driven through `Box<dyn Scheduler>` must be bit-identical to the
-//! pre-redesign entry points, requests/results must round-trip through
-//! JSON, and sharing a `Session` must never change results.
+//! Integration tests for the `Scheduler` trait API: requests/results must
+//! round-trip through JSON, recorded configurations must rebuild the
+//! scheduler, and sharing a `Session` must never change results.
 
-use scar::core::baselines::{self, NnBaton, Standalone};
+use scar::core::baselines::{NnBaton, Standalone};
 use scar::core::{
     OptMetric, Parallelism, Scar, ScheduleArtifact, ScheduleRequest, ScheduleResult, Scheduler,
     SearchBudget, Session,
@@ -28,58 +27,6 @@ fn request(sc: &Scenario, mcm: &McmConfig, metric: OptMetric) -> ScheduleRequest
     ScheduleRequest::new(sc.clone(), mcm.clone())
         .metric(metric)
         .budget(quick())
-}
-
-/// Every scheduler family behind one `Box<dyn Scheduler>`, checked
-/// bit-identical (totals, windows, chosen schedule, candidate cloud)
-/// against the pre-redesign entry points: `Scar::schedule_with_db` for
-/// SCAR, the `baselines::*` free functions for the baselines.
-#[test]
-#[allow(deprecated)]
-fn boxed_schedulers_match_pre_redesign_entry_points() {
-    let sc = Scenario::datacenter(1);
-    let mcm = het_sides_3x3(Profile::Datacenter);
-    let session = Session::new();
-
-    for metric in [OptMetric::Edp, OptMetric::Latency] {
-        let req = request(&sc, &mcm, metric.clone());
-
-        let schedulers: Vec<(Box<dyn Scheduler>, ScheduleResult)> = vec![
-            (
-                Box::new(Scar::with_defaults()),
-                Scar::builder()
-                    .metric(metric.clone())
-                    .budget(quick())
-                    .build()
-                    .schedule_with_db(&sc, &mcm, session.database())
-                    .unwrap(),
-            ),
-            (
-                Box::new(Standalone::new()),
-                baselines::standalone(&sc, &mcm, metric.clone(), Parallelism::Serial).unwrap(),
-            ),
-            (
-                Box::new(NnBaton::new()),
-                baselines::nn_baton(&sc, &mcm, metric.clone(), Parallelism::Serial).unwrap(),
-            ),
-        ];
-        for (scheduler, legacy) in &schedulers {
-            let via_trait = scheduler.schedule(&session, &req).unwrap();
-            let label = format!("{} / {}", scheduler.name(), metric.label());
-            assert_eq!(via_trait.total(), legacy.total(), "{label}: totals");
-            assert_eq!(via_trait.windows(), legacy.windows(), "{label}: windows");
-            assert_eq!(
-                via_trait.schedule(),
-                legacy.schedule(),
-                "{label}: chosen schedule"
-            );
-            assert_eq!(
-                via_trait.candidates(),
-                legacy.candidates(),
-                "{label}: candidate cloud"
-            );
-        }
-    }
 }
 
 /// One shared session across *different* schedulers and scenarios vs a
@@ -178,7 +125,7 @@ fn scheduler_config_roundtrips_through_artifacts() {
     let req = request(&sc, &mcm, OptMetric::Edp);
 
     // a non-default SCAR: nsplits 2 (the registry default is 1)
-    let scar = Scar::builder().nsplits(2).budget(quick()).build();
+    let scar = Scar::builder().nsplits(2).build();
     assert_eq!(
         scar.config(),
         SchedulerConfig {

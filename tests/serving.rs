@@ -4,7 +4,7 @@
 
 use scar::core::{OptMetric, Scar, ScheduleRequest, Scheduler, Session};
 use scar::mcm::templates::{het_sides_3x3, Profile};
-use scar::serve::{fingerprint, ServeConfig, ServePolicy, ServeSim, TrafficMix};
+use scar::serve::{fingerprint, PolicyRegistry, ServeConfig, ServeSim, TrafficMix};
 use scar::workloads::scenario::generate;
 use scar::workloads::UseCase;
 
@@ -170,14 +170,13 @@ fn policies_complete_identical_traffic() {
     let mix = TrafficMix::arvr(6);
     let offered = mix.arrivals(0.2).len();
     let mut miss_rates = Vec::new();
-    for policy in [
-        ServePolicy::Scar,
-        ServePolicy::Standalone,
-        ServePolicy::NnBaton,
-    ] {
-        let mut sim = ServeSim::with_policy(&mcm, policy.clone(), ServeConfig::default());
+    let registry = PolicyRegistry::with_builtins();
+    for policy in ["SCAR", "Standalone", "NN-baton"] {
+        let cfg = ServeConfig::default();
+        let scheduler = registry.build(policy, &cfg).expect("built-in policy");
+        let mut sim = ServeSim::with_scheduler(&mcm, scheduler, cfg);
         let r = sim.run(&mix, 0.2).expect("policy serves the mix");
-        assert_eq!(r.completed, offered, "{policy:?} must drain the queue");
+        assert_eq!(r.completed, offered, "{policy} must drain the queue");
         miss_rates.push((policy, r.deadline_miss_rate()));
     }
     let scar_rate = miss_rates[0].1;

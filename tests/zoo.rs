@@ -108,6 +108,30 @@ fn every_zoo_artifact_replays_exactly_via_the_registry() {
     }
 }
 
+/// Merged-Pipeline is SCAR at `nsplits = 0`: one fused window, and a
+/// splice must keep it fused. The splice search drops one split from
+/// SCAR's count but never turns 0 into 1.
+#[test]
+fn merged_pipeline_splices_keep_one_fused_window() {
+    let cfg = ServeConfig::default();
+    let merged = PolicyRegistry::with_zoo()
+        .build("Merged-Pipeline", &cfg)
+        .expect("registered");
+    let session = Session::new();
+    let req = ScheduleRequest::new(Scenario::arvr(6), het_sides_3x3(Profile::ArVr))
+        .budget(cfg.budget.clone());
+    let cold = merged.schedule(&session, &req).expect("Sc6 fits a 3x3");
+    assert_eq!(cold.schedule().windows.len(), 1, "cold: one fused window");
+    let spliced = merged
+        .preempt(&session, &req, cold.schedule())
+        .expect("the splice answers");
+    assert_eq!(
+        spliced.schedule().windows.len(),
+        1,
+        "splice: still one fused window"
+    );
+}
+
 /// The NSGA-SCAR result's candidate-cloud Pareto front is mutually
 /// non-dominated and NaN-free — the front the multi-objective selection
 /// reasons over is a real front.
