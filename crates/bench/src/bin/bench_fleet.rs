@@ -37,7 +37,7 @@
 //!
 //! Environment knobs:
 //!
-//! * `SCAR_FLEET_SIZE` — replica count (default 4).
+//! * `SCAR_FLEET_SIZE` — replica count (default 4; `0` exits with code 2).
 //! * `SCAR_FLEET_HET` — `0` makes the fleet homogeneous (all Het-Sides);
 //!   default `1` cycles the four 3×3 strategies.
 //! * `SCAR_DISPATCH` — run a single policy (`rr`, `least`, `deadline`,
@@ -52,13 +52,20 @@
 //! * `SCAR_FLEET_BASELINE` — path to a committed `BENCH_fleet.json`; the
 //!   freshly written file must match it byte-for-byte once `wall_ms`
 //!   lines are stripped from both (the CI drift gate).
-//! * `SCAR_PERF_GATE` — additionally assert each policy's wall stays
-//!   under [`WALL_CEILING_S`].
+//! * `SCAR_PERF_GATE` — `1` additionally asserts each policy's wall
+//!   stays under [`WALL_CEILING_S`].
 //! * `SCAR_TRACE` — record the span timeline (fleet.run → fleet.dispatch /
 //!   fleet.migrate / fleet.replica → per-round serving spans) and write it
 //!   to `TRACE_bench_fleet.json`. Trace runs drop to the `Serial` pass
 //!   only so the timeline holds one run per policy.
+//! * `SCAR_METRICS` — `1` records the metrics registry and prints the
+//!   per-phase wall summary.
+//!
+//! Flags (`SCAR_FLEET_HET`, `SCAR_PERF_GATE`, `SCAR_TRACE`,
+//! `SCAR_METRICS`) follow [`scar_bench::knobs`]: unset or empty is the
+//! default, `0` off, `1` on, anything else exits with code 2.
 
+use scar_bench::knobs;
 use scar_core::Parallelism;
 use scar_mcm::templates::Profile;
 use scar_mcm::InterconnectSpec;
@@ -66,7 +73,6 @@ use scar_serve::{
     DispatchKind, FleetConfig, FleetReport, FleetSim, ReplicaSpec, ServeConfig, TrafficMix,
     TrafficShape,
 };
-use scar_telemetry::Telemetry;
 
 /// Default horizon: 135 req/s of AR/VR frame traffic × 7500 s ≈ 1.01M
 /// arrivals — past the 1M-arrival acceptance floor.
@@ -85,14 +91,6 @@ fn env_usize(name: &str, default: usize) -> usize {
             eprintln!("{name}={v:?} is not a count");
             std::process::exit(2);
         }),
-    }
-}
-
-fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name).as_deref() {
-        Err(_) => default,
-        Ok("0") | Ok("") => false,
-        Ok(_) => true,
     }
 }
 
@@ -159,8 +157,13 @@ fn policy_json(p: &PolicyRun, fabric: &Option<InterconnectSpec>) -> String {
 }
 
 fn main() {
-    let fleet_size = env_usize("SCAR_FLEET_SIZE", 4).max(1);
-    let heterogeneous = env_flag("SCAR_FLEET_HET", true);
+    let fleet_size = env_usize("SCAR_FLEET_SIZE", 4);
+    if fleet_size == 0 {
+        eprintln!("SCAR_FLEET_SIZE=0: a fleet needs at least one replica");
+        std::process::exit(2);
+    }
+    let heterogeneous = knobs::flag("SCAR_FLEET_HET", true);
+    let perf_gate = knobs::flag("SCAR_PERF_GATE", false);
     let rehome_every = env_usize("SCAR_REHOME", 0);
     let (horizon_s, default_horizon) = match std::env::var("SCAR_FLEET_HORIZON_S") {
         Err(_) => (DEFAULT_HORIZON_S, true),
@@ -202,7 +205,7 @@ fn main() {
         })],
     };
 
-    let telemetry = Telemetry::from_env();
+    let telemetry = knobs::telemetry();
     // burst-reshaped AR/VR traffic (same mean rates, Markov-modulated
     // on/off arrivals, per-frame deadlines kept): queue shapes vary round
     // to round, so schedule-cache warmth is earned, not saturated — the
@@ -377,7 +380,7 @@ fn main() {
             }
         }
     }
-    if env_flag("SCAR_PERF_GATE", false) {
+    if perf_gate {
         for (fabric, runs) in &sweeps {
             for run in runs {
                 assert!(

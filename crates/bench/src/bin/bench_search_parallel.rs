@@ -13,10 +13,12 @@
 //! On a multi-core runner (≥ 4 hardware threads) the 6×6 evolutionary
 //! search must be ≥ 2× faster under `Auto` — the bin *asserts* it, so CI
 //! catches a change that silently serializes evaluation (set
-//! `SCAR_BENCH_NO_SPEEDUP_ASSERT=1` to measure without the gate). On a
+//! `SCAR_BENCH_NO_SPEEDUP_ASSERT=1` to measure without the gate; the flag
+//! follows [`scar_bench::knobs`], so `0` keeps the gate on). On a
 //! single-core host both timings are the same modulo noise (the engine
 //! never spawns more workers than threads) and the gate is skipped.
 
+use scar_bench::knobs;
 use scar_core::{
     EvoParams, OptMetric, Parallelism, Scar, ScheduleRequest, ScheduleResult, Scheduler,
     SearchBudget, SearchKind, Session,
@@ -91,6 +93,7 @@ fn run(case: &Case, parallelism: Parallelism) -> (f64, ScheduleResult) {
 }
 
 fn main() {
+    let skip_speedup_assert = knobs::flag("SCAR_BENCH_NO_SPEEDUP_ASSERT", false);
     let hardware_threads = Parallelism::Auto.threads();
     println!("hardware threads: {hardware_threads}");
 
@@ -113,9 +116,8 @@ fn main() {
             case.name,
             serial.candidates().len(),
         );
-        let gate_active = case.gated
-            && hardware_threads >= SPEEDUP_GATE_THREADS
-            && std::env::var_os("SCAR_BENCH_NO_SPEEDUP_ASSERT").is_none();
+        let gate_active =
+            case.gated && hardware_threads >= SPEEDUP_GATE_THREADS && !skip_speedup_assert;
         assert!(
             !gate_active || speedup >= MIN_SPEEDUP,
             "{}: speedup {speedup:.2}x is below the {MIN_SPEEDUP}x acceptance bar on a \

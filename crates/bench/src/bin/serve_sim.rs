@@ -48,10 +48,10 @@
 //!   to this many entries (unset → never evict). Only affects what is
 //!   *persisted/kept cached* — costs are re-evaluated on demand, so
 //!   schedules and reports are unchanged.
-//! * `SCAR_EXPECT_ZERO_EVALS` — when set (CI's warm pass), assert that
-//!   every simulation performed zero MAESTRO evaluations.
-//! * `SCAR_EXPECT_PREEMPTIONS` — when set (CI's overload smoke), assert
-//!   that the primary policy performed at least one mid-window preemption
+//! * `SCAR_EXPECT_ZERO_EVALS` — `1` (CI's warm pass) asserts that every
+//!   simulation performed zero MAESTRO evaluations.
+//! * `SCAR_EXPECT_PREEMPTIONS` — `1` (CI's overload smoke) asserts that
+//!   the primary policy performed at least one mid-window preemption
 //!   across the simulated mixes.
 //! * `SCAR_TRACE` — `1` records a span timeline for the primary policy's
 //!   simulations and writes it as Chrome `trace_event` JSON to
@@ -60,10 +60,15 @@
 //! * `SCAR_METRICS` — `1` records the counter/gauge/histogram registry
 //!   and writes it to `METRICS_serve_sim.json`.
 //!
+//! Flags (`SCAR_PREEMPT`, `SCAR_EXPECT_*`, `SCAR_TRACE`, `SCAR_METRICS`)
+//! follow [`scar_bench::knobs`]: unset or empty is the default, `0` off,
+//! `1` on, anything else exits with code 2.
+//!
 //! Besides stdout (which includes wall-clock timings), the deterministic
 //! serving reports are written to `REPORT_serve_sim.txt` so warm and cold
 //! runs can be diffed byte-for-byte.
 
+use scar_bench::knobs;
 use scar_core::Parallelism;
 use scar_mcm::templates::{het_sides_3x3, Profile};
 use scar_serve::{
@@ -139,10 +144,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let preemption = match std::env::var("SCAR_PREEMPT").as_deref() {
-        Err(_) | Ok("0") | Ok("") => false,
-        Ok(_) => true,
-    };
+    let preemption = knobs::flag("SCAR_PREEMPT", false);
     let nsplits: usize = match std::env::var("SCAR_NSPLITS") {
         Ok(n) => n.parse().unwrap_or_else(|_| {
             eprintln!("SCAR_NSPLITS={n:?} is not a window-split count");
@@ -165,12 +167,12 @@ fn main() {
         })),
         Err(_) => None,
     };
-    let expect_zero_evals = std::env::var("SCAR_EXPECT_ZERO_EVALS").is_ok();
-    let expect_preemptions = std::env::var("SCAR_EXPECT_PREEMPTIONS").is_ok();
+    let expect_zero_evals = knobs::flag("SCAR_EXPECT_ZERO_EVALS", false);
+    let expect_preemptions = knobs::flag("SCAR_EXPECT_PREEMPTIONS", false);
     // one sink for every primary-policy simulation; the Standalone
     // baselines get the disabled handle so the timeline attributes the
     // primary policy's wall time only
-    let telemetry = Telemetry::from_env();
+    let telemetry = knobs::telemetry();
     let make_cfg = |telemetry: Telemetry| ServeConfig {
         parallelism,
         admission,

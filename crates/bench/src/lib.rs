@@ -1,11 +1,13 @@
 //! Experiment harness for the SCAR reproduction: strategy runners, table
-//! formatting, normalization, and Pareto utilities shared by the
-//! per-table/figure binaries (see DESIGN.md §4 for the experiment index).
+//! formatting, normalization, Pareto utilities, and the `SCAR_*` flag rule
+//! shared by the per-table/figure and serving binaries (see DESIGN.md §4
+//! for the experiment index).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifacts;
+pub mod knobs;
 pub mod pareto;
 pub mod replay;
 pub mod strategy;

@@ -1318,39 +1318,61 @@ mod tests {
     /// The warm-start path end to end: a simulator with `cost_db_path`
     /// persists its cost database, and a *fresh* simulator at the same
     /// path serves the same traffic with zero MAESTRO evaluations and a
-    /// bit-identical report.
+    /// bit-identical report. The two 1 s mixes on Het-Sides pin their
+    /// committed cold evaluation counts (124 and 56).
     #[test]
     fn cost_db_path_warm_start_skips_maestro() {
-        let mcm = sim_mcm();
         let path = std::env::temp_dir().join("scar_serve_sim_costdb_test.json");
-        std::fs::remove_file(&path).ok();
-        let cfg = || ServeConfig {
-            cost_db_path: Some(path.clone()),
-            ..ServeConfig::default()
-        };
-        let mix = TrafficMix::arvr(1);
+        for (profile, mix, horizon_s, cold_evaluations) in [
+            (Profile::ArVr, TrafficMix::arvr(1), 0.1, None),
+            (
+                Profile::Datacenter,
+                TrafficMix::datacenter(0x5CA2),
+                1.0,
+                Some(124),
+            ),
+            (Profile::ArVr, TrafficMix::arvr(0x5CA2), 1.0, Some(56)),
+        ] {
+            // a fresh snapshot per mix isolates each cold start
+            std::fs::remove_file(&path).ok();
+            let mcm = het_sides_3x3(profile);
+            let cfg = || ServeConfig {
+                cost_db_path: Some(path.clone()),
+                ..ServeConfig::default()
+            };
+            let label = &mix.name;
 
-        let mut cold = ServeSim::new(&mcm, cfg());
-        let cold_report = cold.run(&mix, 0.1).unwrap();
-        assert!(
-            cold_report.cost_evaluations > 0,
-            "cold start pays the cost model"
-        );
-        assert!(path.exists(), "run must persist the snapshot");
+            let mut cold = ServeSim::new(&mcm, cfg());
+            let cold_report = cold.run(&mix, horizon_s).unwrap();
+            assert!(
+                cold_report.cost_evaluations > 0,
+                "{label}: cold start pays the cost model"
+            );
+            if let Some(n) = cold_evaluations {
+                assert_eq!(cold_report.cost_evaluations, n, "{label}: cold evaluations");
+            }
+            assert!(path.exists(), "{label}: run must persist the snapshot");
 
-        let mut warm = ServeSim::new(&mcm, cfg());
-        assert!(warm.session().cached_costs() > 0, "snapshot restored");
-        let warm_report = warm.run(&mix, 0.1).unwrap();
+            let mut warm = ServeSim::new(&mcm, cfg());
+            assert!(
+                warm.session().cached_costs() > 0,
+                "{label}: snapshot restored"
+            );
+            let warm_report = warm.run(&mix, horizon_s).unwrap();
+            assert_eq!(
+                warm_report.cost_evaluations, 0,
+                "{label}: warm start must not invoke MAESTRO"
+            );
+            // identical serving outcomes — the snapshot changes cost, not content
+            assert_eq!(warm_report.latency, cold_report.latency, "{label}");
+            assert_eq!(warm_report.energy_j, cold_report.energy_j, "{label}");
+            assert_eq!(warm_report.makespan_s, cold_report.makespan_s, "{label}");
+            assert_eq!(
+                warm_report.windows_scheduled, cold_report.windows_scheduled,
+                "{label}"
+            );
+        }
         std::fs::remove_file(&path).ok();
-        assert_eq!(
-            warm_report.cost_evaluations, 0,
-            "warm start must not invoke MAESTRO"
-        );
-        // identical serving outcomes — the snapshot changes cost, not content
-        assert_eq!(warm_report.latency, cold_report.latency);
-        assert_eq!(warm_report.energy_j, cold_report.energy_j);
-        assert_eq!(warm_report.makespan_s, cold_report.makespan_s);
-        assert_eq!(warm_report.windows_scheduled, cold_report.windows_scheduled);
     }
 
     #[test]

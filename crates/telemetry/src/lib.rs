@@ -14,7 +14,7 @@
 //! * **Phase wall-time** — every recorded span also accumulates into a
 //!   per-name `(count, total wall)` table; [`Telemetry::phase_wall`]
 //!   aggregates it by phase category for the per-phase attribution the
-//!   bins print and `bench_throughput` divides by.
+//!   bins print and `perfbench` reads its `trace.*` rows from.
 //!
 //! # Zero cost when disabled
 //!
@@ -309,17 +309,6 @@ impl Telemetry {
             events_recorded: AtomicU64::new(0),
             counter_updates: AtomicU64::new(0),
         })))
-    }
-
-    /// The bins' conventional construction: `SCAR_TRACE` enables the
-    /// timeline, `SCAR_METRICS` the registry (`0`/empty/unset = off).
-    pub fn from_env() -> Self {
-        let on = |k: &str| {
-            std::env::var(k)
-                .map(|v| !matches!(v.trim(), "" | "0"))
-                .unwrap_or(false)
-        };
-        Self::enabled(on("SCAR_TRACE"), on("SCAR_METRICS"))
     }
 
     /// Whether any sink is attached.

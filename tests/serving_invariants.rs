@@ -17,6 +17,9 @@
 //!   the pre-overload serving loop: nothing rejected, nothing spliced,
 //!   and a default-configured simulator reports byte-for-byte what an
 //!   explicitly accept-all one does on the existing mixes.
+//! * **Overload acceptance** — on the burst AR/VR mix, preemption
+//!   strictly reduces deadline misses and stays within the committed
+//!   miss budget.
 //! * **Traffic envelopes** — the burst and diurnal generators are
 //!   deterministic per seed, distinct across seeds, in-horizon, and
 //!   respect their configured rate envelopes.
@@ -224,6 +227,54 @@ fn splices_route_through_the_preempt_trait_entry() {
     assert_eq!(report, b, "delegating wrapper ≡ bare SCAR");
 }
 
+/// Requests offered by the burst-overload configuration below (pinned by
+/// its seed) and the committed preemption-on miss budget: 241 of 356
+/// (miss rate 0.676966) at the time the splice fast path landed.
+const BURST_OVERLOAD_OFFERED: usize = 356;
+const BURST_OVERLOAD_MISS_BUDGET: usize = 241;
+
+/// The overload acceptance: on a Markov-modulated burst reshaping of the
+/// AR/VR frame mix (every request deadline-bound at its frame period),
+/// served for 2 s on Het-Sides with two window splits and accept-all
+/// admission, mid-window preemption splices rounds, conserves requests,
+/// *strictly* reduces deadline misses against boundary-only rescheduling,
+/// and stays within the committed miss budget. Virtual time makes the
+/// counts exact, so a regression in the splice fast path shows up as a
+/// higher count, not as noise.
+#[test]
+fn preemption_strictly_reduces_misses_on_the_burst_overload_mix() {
+    let mcm = arvr_mcm();
+    let mix = TrafficMix::arvr(0x0B57).reshaped(TrafficShape::Burst);
+    let run = |preemption: bool| {
+        let cfg = ServeConfig {
+            preemption,
+            ..preempt_cfg()
+        };
+        ServeSim::new(&mcm, cfg).run(&mix, 2.0).unwrap()
+    };
+    let off = run(false);
+    let on = run(true);
+
+    for r in [&off, &on] {
+        assert_eq!(r.offered, BURST_OVERLOAD_OFFERED, "the mix is pinned");
+        assert_eq!(r.completed + r.rejected, r.offered, "conservation");
+    }
+    assert_eq!(off.preemptions, 0, "preemption off must not splice");
+    assert!(on.preemptions > 0, "burst traffic must trigger splices");
+    assert!(
+        on.deadline_misses < off.deadline_misses,
+        "preemption must strictly reduce deadline misses ({} vs {})",
+        on.deadline_misses,
+        off.deadline_misses
+    );
+    assert!(
+        on.deadline_misses <= BURST_OVERLOAD_MISS_BUDGET,
+        "preemption misses {} of {} regressed past the committed {BURST_OVERLOAD_MISS_BUDGET}",
+        on.deadline_misses,
+        on.offered
+    );
+}
+
 /// (d) Burst generators: deterministic per seed, distinct across seeds,
 /// in-horizon, and inside the rate envelope (never below zero offered,
 /// never above the on-rate ceiling; near the duty-cycled mean over a
@@ -352,8 +403,9 @@ fn diurnal_arrivals_are_deterministic_and_modulated() {
 }
 
 /// Reshaping preserves the mean offered load and the deadlines while
-/// changing only the arrival shape — the contract `bench_overload` and
-/// the serve-cache context rely on.
+/// changing only the arrival shape — the contract the burst-overload
+/// acceptance above, perfbench's `serve_overload` workload, and the
+/// serve-cache context rely on.
 #[test]
 fn reshaping_preserves_mean_rate_and_deadlines() {
     let native = TrafficMix::arvr(1);
