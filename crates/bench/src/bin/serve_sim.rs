@@ -39,10 +39,12 @@
 //!   respliced). Default off: boundary-only rescheduling.
 //! * `SCAR_NSPLITS` — SCAR window splits per live scenario (default 1;
 //!   more splits → shorter windows → more preemption opportunities).
-//! * `SCAR_COST_DB` — persist path for the MAESTRO cost database: loaded
-//!   (if present) before serving, saved after each run. A second process
-//!   pointed at the same path serves the same traffic with **zero** cost
-//!   evaluations and byte-identical reports.
+//! * `SCAR_COST_DB` — persist path for the MAESTRO cost database: every
+//!   simulator opens it ([`Session::open`]; a missing file is a cold
+//!   start) and saves back after each run. A second process pointed at
+//!   the same path serves the same traffic with **zero** cost evaluations
+//!   and byte-identical reports. A file that is not a loadable snapshot
+//!   exits with code 2.
 //! * `SCAR_COST_DB_MAX` — entry bound for the persisted cost database:
 //!   before each save, a least-recently-used compaction pass evicts down
 //!   to this many entries (unset → never evict). Only affects what is
@@ -69,7 +71,7 @@
 //! runs can be diffed byte-for-byte.
 
 use scar_bench::knobs;
-use scar_core::Parallelism;
+use scar_core::{Parallelism, Session};
 use scar_mcm::templates::{het_sides_3x3, Profile};
 use scar_serve::{
     AdmissionKind, PolicyFile, PolicyRegistry, ServeConfig, ServeSim, TrafficMix, TrafficShape,
@@ -159,8 +161,8 @@ fn main() {
         .as_ref()
         .and_then(|f| f.overrides.search.clone())
         .unwrap_or_else(|| ServeConfig::default().search);
-    let cost_db_path = std::env::var("SCAR_COST_DB").ok().map(Into::into);
-    let cost_db_max_entries = match std::env::var("SCAR_COST_DB_MAX") {
+    let cost_db: Option<std::path::PathBuf> = std::env::var("SCAR_COST_DB").ok().map(Into::into);
+    let cost_db_max = match std::env::var("SCAR_COST_DB_MAX") {
         Ok(n) => Some(n.parse::<usize>().unwrap_or_else(|_| {
             eprintln!("SCAR_COST_DB_MAX={n:?} is not an entry bound");
             std::process::exit(2);
@@ -179,10 +181,30 @@ fn main() {
         preemption,
         nsplits,
         search: search.clone(),
-        cost_db_path: cost_db_path.clone(),
-        cost_db_max_entries,
         telemetry,
         ..ServeConfig::default()
+    };
+    // whoever opens a session persists it: each simulator opens the
+    // snapshot as it stands, and every run ends with a bounded save
+    let open_session = |cfg: &ServeConfig| {
+        let session = match &cost_db {
+            Some(path) => Session::open(path).unwrap_or_else(|e| {
+                eprintln!("SCAR_COST_DB={}: {e}", path.display());
+                std::process::exit(2);
+            }),
+            None => Session::new(),
+        };
+        session.with_telemetry(cfg.telemetry.clone())
+    };
+    let persist = |session: &Session| {
+        if let Some(path) = &cost_db {
+            if let Some(max) = cost_db_max {
+                session.compact_costs(max);
+            }
+            if let Err(e) = session.save_costs(path) {
+                eprintln!("warning: failed to persist cost database: {e}");
+            }
+        }
     };
     let reshape = |mix: TrafficMix| match shape {
         Some(s) => mix.reshaped(s),
@@ -194,13 +216,10 @@ fn main() {
         parallelism.threads(),
         shape.map_or("native".to_string(), |s| s.to_string()),
         if preemption { "on" } else { "off" },
-        cost_db_path
-            .as_ref()
-            .map_or("off".to_string(), |p: &std::path::PathBuf| {
-                let bound =
-                    cost_db_max_entries.map_or(String::new(), |max| format!(" (≤{max} entries)"));
-                format!("{}{bound}", p.display())
-            }),
+        cost_db.as_ref().map_or("off".to_string(), |p| {
+            let bound = cost_db_max.map_or(String::new(), |max| format!(" (≤{max} entries)"));
+            format!("{}{bound}", p.display())
+        }),
     );
     let mut total_preemptions = 0u64;
 
@@ -227,7 +246,8 @@ fn main() {
         // cold start, then the same traffic replayed on the warm cache
         let cfg = make_cfg(telemetry.clone());
         let scheduler = registry.build(&policy, &cfg).expect("checked above");
-        let mut sim = ServeSim::with_scheduler(&mcm, scheduler, cfg);
+        let session = open_session(&cfg);
+        let mut sim = ServeSim::with_session(&mcm, scheduler, cfg, session);
         let restored = sim.session().cached_costs();
         if restored > 0 {
             println!("cost database restored: {restored} entries before the first round");
@@ -235,9 +255,11 @@ fn main() {
         let t0 = std::time::Instant::now();
         let cold = sim.run(&mix, horizon_s).expect("mix fits the 3x3 package");
         let cold_wall = t0.elapsed();
+        persist(sim.session());
         let t1 = std::time::Instant::now();
         let warm = sim.run(&mix, horizon_s).expect("identical mix still fits");
         let warm_wall = t1.elapsed();
+        persist(sim.session());
 
         println!("{cold}");
         writeln!(report_log, "{warm}").expect("string write");
@@ -268,9 +290,12 @@ fn main() {
         let standalone = registry
             .build("Standalone", &base_cfg)
             .expect("built-in policy");
-        let mut base = ServeSim::with_scheduler(&mcm, standalone, base_cfg);
+        let base_session = open_session(&base_cfg);
+        let mut base = ServeSim::with_session(&mcm, standalone, base_cfg, base_session);
         let b = base.run(&mix, horizon_s).expect("standalone fits too");
+        persist(base.session());
         let b_warm = base.run(&mix, horizon_s).expect("standalone replay fits");
+        persist(base.session());
         writeln!(report_log, "{b_warm}").expect("string write");
         println!(
             "vs Standalone: throughput {:.1} → {:.1} req/s | p99 {:.2} → {:.2} ms | energy {:.3} → {:.3} J",

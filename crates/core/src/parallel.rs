@@ -33,13 +33,20 @@ pub enum Parallelism {
 
 impl Parallelism {
     /// The number of worker threads this setting resolves to (≥ 1).
+    ///
+    /// `Auto` probes the host once per process: the probe reads cgroup
+    /// files on Linux (tens of µs), and the search engine resolves the
+    /// setting once per window.
     pub fn threads(self) -> usize {
+        static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
         match self {
             Parallelism::Serial => 1,
             Parallelism::Fixed(n) => n.max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            Parallelism::Auto => *AUTO.get_or_init(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            }),
         }
     }
 }

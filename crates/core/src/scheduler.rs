@@ -68,9 +68,10 @@ use std::hash::{Hash, Hasher};
 /// crate).
 ///
 /// Sessions persist: [`Session::save_costs`] snapshots the memoized costs
-/// to disk and [`Session::load_costs`]/[`Session::from_snapshot`] restore
-/// them, so a restarted process serves covered workloads at zero MAESTRO
-/// evaluations ([`Session::cost_evaluations`]).
+/// to disk and [`Session::open`]/[`Session::load_costs`] restore them, so
+/// a restarted process serves covered workloads at zero MAESTRO
+/// evaluations ([`Session::cost_evaluations`]). Whoever opens a session
+/// persists it — the serving loop itself does no file I/O.
 #[derive(Debug, Default)]
 pub struct Session {
     db: CostDatabase,
@@ -187,15 +188,25 @@ impl Session {
         self.db.load_snapshot_into(path)
     }
 
-    /// A fresh session whose cost database is restored from a snapshot
-    /// file — the warm-start constructor.
+    /// Opens the session persisted at `path` — the warm-start
+    /// constructor: a fresh session restored from the snapshot there, or
+    /// an empty one when no file exists yet (the cold start whose
+    /// [`Session::save_costs`] writes it).
     ///
     /// # Errors
     ///
-    /// Same rejections as [`Session::load_costs`].
-    pub fn from_snapshot(path: impl AsRef<std::path::Path>) -> Result<Self, SnapshotError> {
+    /// An existing path that does not hold a loadable snapshot is an
+    /// error, never a cold start: the same rejections as
+    /// [`Session::load_costs`] (I/O failure — a directory, say — a
+    /// malformed file, a schema-version or cost-model mismatch). Serving
+    /// on costs from a different model would silently change every
+    /// schedule.
+    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, SnapshotError> {
+        let path = path.as_ref();
         let session = Self::new();
-        session.load_costs(path)?;
+        if path.exists() {
+            session.load_costs(path)?;
+        }
         Ok(session)
     }
 }
@@ -617,7 +628,7 @@ mod tests {
         let path = std::env::temp_dir().join("scar_core_session_snapshot.json");
         warm.save_costs(&path).unwrap();
 
-        let restored = Session::from_snapshot(&path).unwrap();
+        let restored = Session::open(&path).unwrap();
         assert_eq!(restored.cached_costs(), warm.cached_costs());
         restored.warm_up(&request());
         assert_eq!(
@@ -631,6 +642,28 @@ mod tests {
         let evals = warm.cost_evaluations();
         warm.warm_up(&request());
         assert_eq!(warm.cost_evaluations(), evals);
+    }
+
+    /// A bad snapshot is a configuration error, typed: serving on costs
+    /// from a different model would silently change every schedule. A
+    /// missing file is the cold start.
+    #[test]
+    fn corrupt_cost_snapshot_is_a_configuration_error() {
+        let dir = std::env::temp_dir();
+        let corrupt = dir.join("scar_core_session_corrupt_costdb.json");
+        std::fs::write(&corrupt, "{ definitely not a snapshot").unwrap();
+        let err = Session::open(&corrupt).expect_err("a corrupt snapshot must be rejected");
+        assert!(matches!(err, SnapshotError::Malformed(_)), "got {err:?}");
+        std::fs::remove_file(&corrupt).ok();
+
+        let err = Session::open(&dir).expect_err("a directory is not a snapshot");
+        assert!(matches!(err, SnapshotError::Io(_)), "got {err:?}");
+
+        let missing = dir.join("scar_core_session_missing_costdb.json");
+        std::fs::remove_file(&missing).ok();
+        let fresh = Session::open(&missing).expect("a missing snapshot is a cold start");
+        assert_eq!(fresh.cached_costs(), 0);
+        assert!(!missing.exists(), "opening never writes");
     }
 
     #[test]

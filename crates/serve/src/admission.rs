@@ -33,7 +33,6 @@
 //! regime are never replayed under another.
 
 use crate::traffic::{Request, RequestStream};
-use scar_telemetry::Telemetry;
 use std::hash::{Hash, Hasher};
 
 /// The deterministic serving state a policy may consult for one
@@ -96,33 +95,6 @@ pub trait AdmissionPolicy {
     /// serve-cache fingerprint context. Configuration-free policies keep
     /// the default no-op.
     fn fingerprint_config(&self, _state: &mut dyn Hasher) {}
-}
-
-/// Drives one admission decision through `policy` and records it into
-/// `tel`: a `serve.admission` span (phase-attributed wall time) plus the
-/// `serve.admission.admitted` / `serve.admission.rejected` counters and a
-/// `serve.queue_depth` histogram sample. Decisions are unchanged — the
-/// telemetry handle only observes — so with [`Telemetry::disabled`] this
-/// is exactly `policy.admit(request, ctx)`.
-pub fn admit_observed(
-    policy: &mut dyn AdmissionPolicy,
-    tel: &Telemetry,
-    request: &Request,
-    ctx: &AdmissionContext<'_>,
-) -> bool {
-    let mut span = tel.span("serve.admission");
-    let admitted = policy.admit(request, ctx);
-    span.push_arg("admitted", admitted);
-    tel.observe("serve.queue_depth", ctx.queue_depth as f64);
-    tel.count(
-        if admitted {
-            "serve.admission.admitted"
-        } else {
-            "serve.admission.rejected"
-        },
-        1,
-    );
-    admitted
 }
 
 /// Every arrival is admitted — the pre-admission serving loop, bit-for-bit.

@@ -17,10 +17,15 @@
 //!
 //! An entry memoizes the serving loop's *round outcome* for that
 //! fingerprint — a full search, or the incremental fast path's seeded
-//! re-evaluation of the previous round's placement (see
-//! [`shape_fingerprint`]). Either way the loop stays deterministic: given
-//! the same mix and configuration, the same rounds produce the same
-//! entries in the same order.
+//! re-evaluation of the previous round's placement (keyed by the shape
+//! half of [`fingerprint_parts_in_context`]). Either way the loop stays
+//! deterministic: given the same mix and configuration, the same rounds
+//! produce the same entries in the same order.
+//!
+//! Two front doors compute keys: [`fingerprint`] over an owned
+//! [`ScheduleRequest`], and [`fingerprint_parts_in_context`] over borrowed
+//! request parts plus the serving context — the one the serving loop
+//! probes with on every round.
 //!
 //! Long-running servers see unboundedly many distinct live scenarios, so
 //! the cache is bounded: at [`ScheduleCache::capacity`] entries the
@@ -91,35 +96,15 @@ impl CacheStats {
 ///
 /// [`ChipletConfig::cache_key`]: scar_maestro::ChipletConfig::cache_key
 pub fn fingerprint(request: &ScheduleRequest, scheduler: &dyn Scheduler) -> u64 {
-    fingerprints(request, scheduler).0
-}
-
-/// [`fingerprint`] with the scenario's batch vector left out: two requests
-/// share a shape fingerprint exactly when they run the same models (same
-/// names, layer shapes, order, use case) on the same MCM under the same
-/// scheduler and differ **only in batch sizes**.
-///
-/// That equivalence is the trigger for the serving loop's incremental
-/// rescheduling: a cache miss whose shape matches the previously scheduled
-/// scenario can re-evaluate the prior segmentation/placement as a seeded
-/// candidate ([`Scheduler::reschedule`]) instead of paying a full search.
-pub fn shape_fingerprint(request: &ScheduleRequest, scheduler: &dyn Scheduler) -> u64 {
-    fingerprints(request, scheduler).1
-}
-
-/// Computes `(`[`fingerprint`]`, `[`shape_fingerprint`]`)` in a single
-/// traversal: the batch-insensitive content is hashed once, the shape key
-/// is snapshotted, and the batch vector is folded in on top for the full
-/// key. The serving loop needs both on every round, and hashing the
-/// scenario + chiplet set + topology adjacency dominates a cache probe.
-pub fn fingerprints(request: &ScheduleRequest, scheduler: &dyn Scheduler) -> (u64, u64) {
-    fingerprint_parts(
+    fingerprint_parts_in_context(
         &request.scenario,
         &request.mcm,
         &request.metric,
         &request.budget,
         scheduler,
+        ServeContext::default(),
     )
+    .0
 }
 
 /// The serving-loop state a cache key must carry *beyond* the request and
@@ -139,32 +124,26 @@ pub struct ServeContext {
     pub traffic_shape: u64,
 }
 
-/// [`fingerprints`] over borrowed request parts. This is the hot-path
-/// variant for probe-before-build callers (the serving loop fingerprints
-/// every round but only *constructs* an owned [`ScheduleRequest`] on a
-/// cache miss, so cache hits stay allocation-free).
-pub fn fingerprint_parts(
-    scenario: &Scenario,
-    mcm: &McmConfig,
-    metric: &OptMetric,
-    budget: &SearchBudget,
-    scheduler: &dyn Scheduler,
-) -> (u64, u64) {
-    fingerprint_parts_in_context(
-        scenario,
-        mcm,
-        metric,
-        budget,
-        scheduler,
-        ServeContext::default(),
-    )
-}
-
-/// [`fingerprint_parts`] keyed additionally by a [`ServeContext`]
-/// (admission policy + traffic shape) — what the serving loop uses.
-/// [`fingerprint_parts`] is this function at the default (all-zero)
-/// context, so context-free callers and serving rounds under one context
-/// stay mutually consistent.
+/// The cache keys of one scheduling round, `(full, shape)`, over borrowed
+/// request parts keyed additionally by a [`ServeContext`] (admission
+/// policy + traffic shape). [`fingerprint`] is the full key at the
+/// default (all-zero) context, so context-free callers and serving rounds
+/// under one context stay mutually consistent.
+///
+/// The *shape* key leaves the scenario's batch vector out: two rounds
+/// share it exactly when they run the same models (same names, layer
+/// shapes, order, use case) on the same MCM under the same scheduler and
+/// context and differ **only in batch sizes** — the trigger for the
+/// serving loop's incremental rescheduling, which re-evaluates the prior
+/// segmentation/placement as a seeded candidate
+/// ([`Scheduler::reschedule`]) instead of paying a full search.
+///
+/// Both keys come from one traversal: the batch-insensitive content is
+/// hashed once, the shape key is snapshotted, and the batch vector is
+/// folded in on top for the full key. This is the hot-path variant for
+/// probe-before-build callers: the serving loop fingerprints every round
+/// but only *constructs* an owned [`ScheduleRequest`] on a cache miss, so
+/// cache hits stay allocation-free.
 pub fn fingerprint_parts_in_context(
     scenario: &Scenario,
     mcm: &McmConfig,
@@ -481,11 +460,21 @@ mod tests {
         // Values re-pinned in the overload-serving PR: fingerprint content
         // deliberately grew a leading `ServeContext` (admission policy +
         // traffic shape; zero for context-free callers like this one).
-        let (full, shape) = fingerprints(&req, &Standalone::new());
+        let parts = |scheduler: &dyn Scheduler| {
+            fingerprint_parts_in_context(
+                &req.scenario,
+                &req.mcm,
+                &req.metric,
+                &req.budget,
+                scheduler,
+                ServeContext::default(),
+            )
+        };
+        let (full, shape) = parts(&Standalone::new());
         assert_eq!(full, 0xde94deb8109953fb, "full fingerprint moved");
         assert_eq!(shape, 0x5108e5b95f9d3299, "shape fingerprint moved");
         // SCAR's default configuration hashes its structural knobs too
-        let (full, shape) = fingerprints(&req, &Scar::with_defaults());
+        let (full, shape) = parts(&Scar::with_defaults());
         assert_eq!(full, 0xde6839881ba41dd7, "SCAR full fingerprint moved");
         assert_eq!(shape, 0x081972f0a2c098f5, "SCAR shape fingerprint moved");
     }
@@ -561,8 +550,8 @@ mod tests {
         );
         // and the default context is exactly the context-free entry point
         assert_eq!(
-            key(ServeContext::default()),
-            fingerprint_parts(&sc, &mcm, &OptMetric::Edp, &SearchBudget::default(), &scar)
+            key(ServeContext::default()).0,
+            fingerprint(&request(&sc, &mcm), &scar)
         );
     }
 
@@ -642,7 +631,15 @@ mod tests {
         let mcm = het_sides_3x3(Profile::Datacenter);
         let a = generate(1, UseCase::Datacenter, 2);
         let shape = |sc: &Scenario, mcm: &McmConfig| {
-            shape_fingerprint(&request(sc, mcm), &Scar::with_defaults())
+            fingerprint_parts_in_context(
+                sc,
+                mcm,
+                &OptMetric::Edp,
+                &SearchBudget::default(),
+                &Scar::with_defaults(),
+                ServeContext::default(),
+            )
+            .1
         };
         // batch change → same shape, different full fingerprint
         let mut models = a.models().to_vec();

@@ -92,9 +92,9 @@ pub struct ReplicaSpec {
     /// The replica's chiplet package.
     pub mcm: McmConfig,
     /// The replica's serving configuration (search budget, admission,
-    /// preemption, parallelism, cost-DB persistence…). The `telemetry`
-    /// field is ignored: the fleet threads its own sink through every
-    /// replica so all spans and counters roll into one trace.
+    /// preemption, parallelism…). The `telemetry` field is ignored: the
+    /// fleet threads its own sink through every replica so all spans and
+    /// counters roll into one trace.
     pub cfg: ServeConfig,
 }
 
@@ -133,15 +133,14 @@ pub struct FleetConfig {
     /// measured against).
     pub dispatch: DispatchKind,
     /// Fleet-shared cost-database snapshot. When set, **one**
-    /// [`Session`] backs every replica: the snapshot loads once before
-    /// the dispatch probe, threads through the replicas in merge order
-    /// (entries replica `k` evaluates serve replica `k+1` warm), and
-    /// saves once — compacted per [`FleetConfig::cost_db_max_entries`] —
-    /// after the last replica. A warm fleet then runs at **zero**
-    /// cost-model evaluations ([`FleetReport::cost_evaluations`]).
-    /// Per-replica [`ServeConfig::cost_db_path`] values are ignored while
-    /// sharing, so the snapshot is never double-persisted. `None` (the
-    /// default) keeps fully independent per-replica sessions.
+    /// [`Session`] backs every replica: it opens once
+    /// ([`Session::open`]) before the dispatch probe, threads through the
+    /// replicas in merge order (entries replica `k` evaluates serve
+    /// replica `k+1` warm), and saves once — compacted per
+    /// [`FleetConfig::cost_db_max_entries`] — after the last replica. A
+    /// warm fleet then runs at **zero** cost-model evaluations
+    /// ([`FleetReport::cost_evaluations`]). `None` (the default) gives
+    /// every replica its own fresh session.
     pub cost_db_path: Option<PathBuf>,
     /// Entry bound applied by [`Session::compact_costs`] at fleet save
     /// time (shared snapshots grow with every distinct replica class).
@@ -206,7 +205,8 @@ impl FleetSim {
     /// # Panics
     ///
     /// Panics if `horizon_s` is not positive and finite (see
-    /// [`TrafficMix::arrivals`]).
+    /// [`TrafficMix::arrivals`]), or if [`FleetConfig::cost_db_path`]
+    /// holds something [`Session::open`] rejects.
     pub fn run(&mut self, mix: &TrafficMix, horizon_s: f64) -> Result<FleetReport, ScheduleError> {
         let tel = self.cfg.telemetry.clone();
         let n = self.replicas.len();
@@ -218,25 +218,15 @@ impl FleetSim {
         let arrivals = mix.arrivals(horizon_s);
         let offered = arrivals.len();
 
-        // One shared session when the fleet persists a cost DB; loaded
+        // One shared session when the fleet persists a cost DB: opened
         // once here, threaded through the probe and every replica, saved
-        // once (compacted) after the last replica. `None` keeps the
-        // legacy fully-independent sessions, byte-identical to before the
-        // sharing existed.
+        // once (compacted) after the last replica. `None` gives every
+        // replica a fresh session.
         let mut shared_session = self.cfg.cost_db_path.as_ref().map(|path| {
-            let session = Session::new().with_telemetry(tel.clone());
-            if path.exists() {
-                let loaded = session.load_costs(path).unwrap_or_else(|e| {
-                    panic!("fleet cost_db_path {}: {e}", path.display());
-                });
-                debug_assert_eq!(session.cached_costs(), loaded);
-            }
-            session
+            Session::open(path)
+                .unwrap_or_else(|e| panic!("fleet cost_db_path {}: {e}", path.display()))
+                .with_telemetry(tel.clone())
         });
-        let persisted_costs = shared_session
-            .as_ref()
-            .map(|s| s.cached_costs())
-            .unwrap_or(0);
 
         // Per-(replica, stream) min-service estimates from one probe
         // session: costs key on (chiplet class, layer, batch), so
@@ -363,23 +353,23 @@ impl FleetSim {
             span.push_arg("replica", ri);
             span.push_arg("mcm", spec.mcm.name().to_string());
             span.push_arg("routed", share.len());
-            let mut cfg = spec.cfg.clone();
-            cfg.telemetry = tel.clone();
-            let routed_count = share.len();
-            let report = match shared_session.take() {
-                Some(session) => {
-                    // sharing: the fleet persists the snapshot itself
-                    cfg.cost_db_path = None;
-                    let scheduler = PolicyRegistry::with_builtins()
-                        .build("SCAR", &cfg)
-                        .expect("SCAR is a built-in policy");
-                    let mut sim = ServeSim::with_session(&spec.mcm, scheduler, cfg, session);
-                    let report = sim.run_arrivals(mix, share)?;
-                    shared_session = Some(sim.into_session());
-                    report
-                }
-                None => ServeSim::new(&spec.mcm, cfg).run_arrivals(mix, share)?,
+            let cfg = ServeConfig {
+                telemetry: tel.clone(),
+                ..spec.cfg.clone()
             };
+            let routed_count = share.len();
+            let sharing = shared_session.is_some();
+            let session = shared_session
+                .take()
+                .unwrap_or_else(|| Session::new().with_telemetry(tel.clone()));
+            let scheduler = PolicyRegistry::with_builtins()
+                .build("SCAR", &cfg)
+                .expect("SCAR is a built-in policy");
+            let mut sim = ServeSim::with_session(&spec.mcm, scheduler, cfg, session);
+            let report = sim.run_arrivals(mix, share)?;
+            if sharing {
+                shared_session = Some(sim.into_session());
+            }
             span.push_arg("completed", report.completed);
             span.push_arg("rejected", report.rejected);
             span.push_arg("cache_hits", report.cache.hits);
@@ -395,14 +385,11 @@ impl FleetSim {
             });
         }
         if let (Some(session), Some(path)) = (&shared_session, &self.cfg.cost_db_path) {
-            let evicted = match self.cfg.cost_db_max_entries {
-                Some(max) => session.compact_costs(max),
-                None => 0,
-            };
-            if evicted > 0 || session.cached_costs() != persisted_costs {
-                if let Err(e) = session.save_costs(path) {
-                    eprintln!("warning: failed to persist fleet cost database: {e}");
-                }
+            if let Some(max) = self.cfg.cost_db_max_entries {
+                session.compact_costs(max);
+            }
+            if let Err(e) = session.save_costs(path) {
+                eprintln!("warning: failed to persist fleet cost database: {e}");
             }
         }
         drop(run_span);

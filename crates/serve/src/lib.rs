@@ -13,18 +13,21 @@
 //!   shape at the same mean rates), with optional per-request deadlines
 //!   (AR/VR defaults come from the XRBench-style rates in
 //!   [`scar_workloads::scenario`]).
-//! * [`sim`] — the serving loop ([`ServeSim`]): batches queued requests
-//!   into live [`Scenario`](scar_workloads::Scenario)s and schedules them
-//!   through a boxed [`Scheduler`](scar_core::Scheduler) — SCAR, a paper
+//! * [`sim`] — the serving loop ([`ServeSim`]), four steps per round:
+//!   *ingest* arrivals through admission, *assemble* queued requests into
+//!   a live [`Scenario`](scar_workloads::Scenario), *schedule* it through
+//!   a boxed [`Scheduler`](scar_core::Scheduler) — SCAR, a paper
 //!   baseline, a zoo member (pick any by name from the
 //!   [`PolicyRegistry`]), or any custom implementation — over one
-//!   [`Session`](scar_core::Session)-wide cost
-//!   database, advancing virtual time by the evaluated window latencies
-//!   and completing each tenant's requests at its own last-active-window
+//!   [`Session`](scar_core::Session)-wide cost database, and *execute*
+//!   it, advancing virtual time by the evaluated window latencies and
+//!   completing each tenant's requests at its own last-active-window
 //!   offset. With [`ServeConfig::preemption`] on, a qualifying arrival
 //!   cuts the in-flight schedule at the next window (layer) boundary and
 //!   the remainder is respliced into the next round
-//!   ([`Scheduler::preempt`](scar_core::Scheduler::preempt)).
+//!   ([`Scheduler::preempt`](scar_core::Scheduler::preempt)). The loop
+//!   does no file I/O: whoever opens a session
+//!   ([`Session::open`](scar_core::Session::open)) persists it.
 //! * [`admission`] — pluggable admission control ([`AdmissionPolicy`]):
 //!   accept-all, deadline-feasibility via a cheap cost-database probe,
 //!   and per-stream load shedding; rejections are counted into every
@@ -87,12 +90,10 @@ pub mod traffic;
 pub mod zoo;
 
 pub use admission::{
-    admit_observed, AcceptAll, AdmissionContext, AdmissionKind, AdmissionPolicy, DeadlineFeasible,
-    LoadShed,
+    AcceptAll, AdmissionContext, AdmissionKind, AdmissionPolicy, DeadlineFeasible, LoadShed,
 };
 pub use cache::{
-    fingerprint, fingerprint_parts, fingerprint_parts_in_context, fingerprints, shape_fingerprint,
-    CacheStats, ScheduleCache, ServeContext,
+    fingerprint, fingerprint_parts_in_context, CacheStats, ScheduleCache, ServeContext,
 };
 pub use fleet::{
     CacheAffinity, DeadlineAware, DispatchContext, DispatchKind, DispatchPolicy, FabricRollup,

@@ -51,7 +51,7 @@ fn snapshot_roundtrip_is_bit_identical_and_free() {
     assert!(donor.cost_evaluations() > 0, "cold run pays the model");
     donor.save_costs(&path).expect("snapshot writes");
 
-    let restored = Session::from_snapshot(&path).expect("snapshot loads");
+    let restored = Session::open(&path).expect("snapshot loads");
     assert_eq!(restored.cached_costs(), donor.cached_costs());
     assert_eq!(restored.cost_evaluations(), 0);
     let replayed = scar.schedule(&restored, &req).expect("still feasible");
@@ -87,7 +87,7 @@ fn corrupted_and_mismatched_snapshots_are_rejected() {
 
     // truncated / non-JSON file
     std::fs::write(&path, "{ \"format\": \"scar-maestro-cost-db\", ").unwrap();
-    let err = Session::from_snapshot(&path).expect_err("corrupt file must be rejected");
+    let err = Session::open(&path).expect_err("corrupt file must be rejected");
     assert!(
         matches!(err, SnapshotError::Malformed(_)),
         "got {err}: {err:?}"
@@ -106,7 +106,7 @@ fn corrupted_and_mismatched_snapshots_are_rejected() {
         ),
     )
     .unwrap();
-    let err = Session::from_snapshot(&path).expect_err("future version must be rejected");
+    let err = Session::open(&path).expect_err("future version must be rejected");
     match err {
         SnapshotError::VersionMismatch { found, expected } => {
             assert_eq!(found, 999);
@@ -123,7 +123,7 @@ fn corrupted_and_mismatched_snapshots_are_rejected() {
     let real = format!("{:#018x}", scar::maestro::cost_model_fingerprint());
     let fake = format!("{:#018x}", scar::maestro::cost_model_fingerprint() ^ 0xff);
     std::fs::write(&path, text.replace(&real, &fake)).unwrap();
-    let err = Session::from_snapshot(&path).expect_err("foreign model must be rejected");
+    let err = Session::open(&path).expect_err("foreign model must be rejected");
     assert!(
         matches!(err, SnapshotError::CostModelMismatch { .. }),
         "got {err}"
@@ -182,7 +182,7 @@ fn replay_reproduces_recordings_at_zero_cost() {
         .unwrap();
     donor.save_costs(&snapshot_path).unwrap();
 
-    let warm = Session::from_snapshot(&snapshot_path).unwrap();
+    let warm = Session::open(&snapshot_path).unwrap();
     let loaded = scar::core::ScheduleArtifact::load_all(&artifact_path).unwrap();
     let rebuilt = registry.build(&loaded[0].scheduler, &cfg).unwrap();
     let replayed = rebuilt.schedule(&warm, &loaded[0].request).unwrap();

@@ -435,3 +435,115 @@ fn reshaping_preserves_mean_rate_and_deadlines() {
         );
     }
 }
+
+/// Golden pins on whole serving reports: a stable hash of each report's
+/// `Debug` and `Display` text for five configurations that between them
+/// take every path of the serving loop — cache hits, incremental and full
+/// searches, splices through `Scheduler::preempt`, deadline admission,
+/// load shedding, and the fleet. A refactor of the loop must leave all
+/// ten values where they are; a deliberate change to what a report holds
+/// or prints re-pins them and says so in the changelog.
+#[test]
+fn serving_reports_are_pinned() {
+    use scar::hash::StableHasher;
+    use scar::mcm::InterconnectSpec;
+    use scar::serve::fleet::{DispatchKind, FleetConfig, FleetSim, ReplicaSpec};
+    use std::hash::Hasher;
+
+    fn pin(label: &str, kind: &str, text: &str, want: u64) {
+        let mut h = StableHasher::new();
+        h.write(text.as_bytes());
+        let got = h.finish();
+        assert_eq!(
+            got, want,
+            "{label}: {kind} hash moved to {got:#018x}; the text was:\n{text}"
+        );
+    }
+
+    let arvr = arvr_mcm();
+    let serve = |mcm: &scar::mcm::McmConfig, cfg: ServeConfig, mix: &TrafficMix, horizon: f64| {
+        ServeSim::new(mcm, cfg).run(mix, horizon).unwrap()
+    };
+    let datacenter = het_sides_3x3(Profile::Datacenter);
+    let cases = [
+        (
+            "1: arvr(1), defaults",
+            serve(&arvr, ServeConfig::default(), &TrafficMix::arvr(1), 0.25),
+            0xdac21935bf34f3df_u64,
+            0x32ff6afe51293031_u64,
+        ),
+        (
+            "2: burst arvr(7), preemption, deadline admission",
+            serve(
+                &arvr,
+                ServeConfig {
+                    admission: AdmissionKind::DeadlineFeasible,
+                    ..preempt_cfg()
+                },
+                &TrafficMix::arvr(7).reshaped(TrafficShape::Burst),
+                0.25,
+            ),
+            0xb60e714487e3ad74,
+            0x3f0f9bdc6b1822bc,
+        ),
+        (
+            "3: throttled arvr(3), load shedding",
+            serve(
+                &arvr,
+                ServeConfig {
+                    admission: AdmissionKind::LoadShed { max_queue: 1 },
+                    ..ServeConfig::default()
+                },
+                &TrafficMix::arvr(3).throttled(3.0),
+                0.1,
+            ),
+            0xde795c7a0e850eec,
+            0xa667c16f8f586a50,
+        ),
+        (
+            "4: datacenter(0x5CA2), cache off",
+            serve(
+                &datacenter,
+                ServeConfig {
+                    use_cache: false,
+                    ..ServeConfig::default()
+                },
+                &TrafficMix::datacenter(0x5CA2),
+                0.5,
+            ),
+            0x83dc4be01a80bd94,
+            0x49a08414bee22d14,
+        ),
+    ];
+    // the pins only guard the paths they actually take
+    assert!(cases[1].1.preemptions > 0, "case 2 must splice");
+    assert!(cases[2].1.rejected > 0, "case 3 must shed");
+    assert!(
+        cases[3].1.incremental_reschedules > 0 && cases[3].1.full_searches > 0,
+        "case 4 must take both search paths"
+    );
+    for (label, report, debug, display) in &cases {
+        pin(label, "Debug", &format!("{report:?}"), *debug);
+        pin(label, "Display", &report.to_string(), *display);
+    }
+
+    let replicas = ReplicaSpec::heterogeneous(4, Profile::ArVr, ServeConfig::default())
+        .into_iter()
+        .map(|mut r| {
+            r.mcm = r.mcm.with_interconnect(Some(InterconnectSpec::nop()));
+            r
+        })
+        .collect();
+    let fleet = FleetSim::new(
+        replicas,
+        FleetConfig {
+            dispatch: DispatchKind::parse("affinity").unwrap(),
+            ..FleetConfig::default()
+        },
+    )
+    .run(&TrafficMix::arvr(11).reshaped(TrafficShape::Burst), 0.2)
+    .unwrap();
+    let label = "5: 4-replica affinity fleet on the nop fabric";
+    pin(label, "Debug", &format!("{fleet:?}"), 0x7a5f6e22cfa5ef6a);
+    pin(label, "Display", &fleet.to_string(), 0x60248f3e61992dd7);
+}
