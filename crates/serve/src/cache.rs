@@ -24,8 +24,13 @@
 //!
 //! Two front doors compute keys: [`fingerprint`] over an owned
 //! [`ScheduleRequest`], and [`fingerprint_parts_in_context`] over borrowed
-//! request parts plus the serving context — the one the serving loop
-//! probes with on every round.
+//! request parts plus the serving context. Both run one hashing order: a
+//! crate-private *shape prefix* (everything but the batch vector) and then
+//! the batch fold. The serving loop keys a plain round from that same
+//! prefix, memoized per run under the round's ordered stream list, so a
+//! cache-hit round folds in its batches and builds nothing — no live
+//! scenario, no request — while its keys stay bit-identical to
+//! [`fingerprint_parts_in_context`] over the scenario it would have built.
 //!
 //! Long-running servers see unboundedly many distinct live scenarios, so
 //! the cache is bounded: at [`ScheduleCache::capacity`] entries the
@@ -52,7 +57,7 @@ use scar_core::{OptMetric, ScheduleRequest, ScheduleResult, Scheduler, SearchBud
 use scar_hash::StableHasher;
 use scar_mcm::McmConfig;
 use scar_telemetry::Telemetry;
-use scar_workloads::Scenario;
+use scar_workloads::{Model, Scenario, UseCase};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -139,11 +144,11 @@ pub struct ServeContext {
 /// ([`Scheduler::reschedule`]) instead of paying a full search.
 ///
 /// Both keys come from one traversal: the batch-insensitive content is
-/// hashed once, the shape key is snapshotted, and the batch vector is
-/// folded in on top for the full key. This is the hot-path variant for
-/// probe-before-build callers: the serving loop fingerprints every round
-/// but only *constructs* an owned [`ScheduleRequest`] on a cache miss, so
-/// cache hits stay allocation-free.
+/// hashed once (the crate's shape prefix), the shape key is snapshotted,
+/// and the batch vector is folded in on top for the full key. The serving
+/// loop's plain rounds run the same two steps over a per-run memoized
+/// prefix (see the module docs), so their keys equal this function's over
+/// the live scenario bit for bit.
 pub fn fingerprint_parts_in_context(
     scenario: &Scenario,
     mcm: &McmConfig,
@@ -152,15 +157,42 @@ pub fn fingerprint_parts_in_context(
     scheduler: &dyn Scheduler,
     context: ServeContext,
 ) -> (u64, u64) {
+    let prefix = shape_prefix(
+        scenario.use_case(),
+        scenario.models().iter().map(|sm| &sm.model),
+        mcm,
+        metric,
+        budget,
+        scheduler,
+        context,
+    );
+    fold_batches(prefix, scenario.models().iter().map(|sm| sm.batch))
+}
+
+/// The hasher state after everything a round's keys hash *before* its
+/// batch vector — the context, the scheduler, the use case, each model's
+/// name and layers in order, the MCM, the metric, and the budget. Its
+/// [`finish`](Hasher::finish) is the shape key. This is the one place the
+/// hashing order lives: [`fingerprint_parts_in_context`] and the serving
+/// loop's per-run memo both call it.
+pub(crate) fn shape_prefix<'m>(
+    use_case: UseCase,
+    models: impl IntoIterator<Item = &'m Model>,
+    mcm: &McmConfig,
+    metric: &OptMetric,
+    budget: &SearchBudget,
+    scheduler: &dyn Scheduler,
+    context: ServeContext,
+) -> StableHasher {
     let mut h = StableHasher::new();
     context.admission.hash(&mut h);
     context.traffic_shape.hash(&mut h);
     scheduler.name().hash(&mut h);
     scheduler.fingerprint_config(&mut h);
-    scenario.use_case().to_string().hash(&mut h);
-    for sm in scenario.models() {
-        sm.model.name().hash(&mut h);
-        for layer in sm.model.layers() {
+    use_case.to_string().hash(&mut h);
+    for model in models {
+        model.name().hash(&mut h);
+        for layer in model.layers() {
             layer.hash(&mut h);
         }
     }
@@ -215,11 +247,21 @@ pub fn fingerprint_parts_in_context(
     budget.max_placements_per_window.hash(&mut h);
     budget.max_candidates_per_window.hash(&mut h);
     budget.node_constraint.hash(&mut h);
-    let shape = h.clone().finish();
-    for sm in scenario.models() {
-        sm.batch.hash(&mut h);
+    h
+}
+
+/// A round's keys `(full, shape)` from its [`shape_prefix`]: the shape key
+/// is the prefix itself, and the full key folds the batch vector, in model
+/// order, on top.
+pub(crate) fn fold_batches(
+    mut prefix: StableHasher,
+    batches: impl IntoIterator<Item = u64>,
+) -> (u64, u64) {
+    let shape = prefix.finish();
+    for batch in batches {
+        batch.hash(&mut prefix);
     }
-    (h.finish(), shape)
+    (prefix.finish(), shape)
 }
 
 /// One cached schedule with its recency stamp.

@@ -9,13 +9,22 @@
 //!    passes admission control ([`crate::admission`]) into its stream's
 //!    queue, or is rejected and counted;
 //! 2. **assemble** — remainders carried over from a cut round, then each
-//!    stream's queued requests, fold into a *live* [`Scenario`] (queue
-//!    depth becomes the batch size, capped by `max_batch_per_stream`);
+//!    stream's queued requests, become the round's *parts*: a stream, its
+//!    drained requests (queue depth becomes the batch size, capped by
+//!    `max_batch_per_stream`), and an optional remainder model. Nothing
+//!    else is built: the *live* [`Scenario`] the parts describe, and the
+//!    owned [`ScheduleRequest`] around it, exist only on a cache miss or
+//!    for a round formed right after a splice;
 //! 3. **schedule** — the configured scheduler — held as a
 //!    `Box<dyn Scheduler>`, so SCAR, a paper baseline, and any
-//!    user-provided policy take the same path — answers a
-//!    [`ScheduleRequest`] over the simulator's [`Session`] (one shared
-//!    cost database), consulting the [`ScheduleCache`] first;
+//!    user-provided policy take the same path — answers the round over
+//!    the simulator's [`Session`] (one shared cost database), consulting
+//!    the [`ScheduleCache`] first. A plain round (no cut instance) takes
+//!    its cache key from a per-run memo: the hasher state of everything
+//!    the key hashes before the batch vector, stored under the round's
+//!    ordered stream list, with only the batches folded in per round —
+//!    the same value [`fingerprint_parts_in_context`] gives over the live
+//!    scenario, so a cache hit hashes no layer and clones no model;
 //! 4. **execute** — virtual time advances by the evaluated schedule's
 //!    window latencies ([`ScheduleResult::window_latencies`]), and each
 //!    model's requests complete at its own last-active-window offset
@@ -56,7 +65,10 @@
 //! evaluations in generation order).
 
 use crate::admission::{AdmissionContext, AdmissionKind, AdmissionPolicy};
-use crate::cache::{fingerprint_parts_in_context, CacheStats, ScheduleCache, ServeContext};
+use crate::cache::{
+    fingerprint_parts_in_context, fold_batches, shape_prefix, CacheStats, ScheduleCache,
+    ServeContext,
+};
 use crate::registry::PolicyRegistry;
 use crate::report::{LatencySummary, ServeReport, StreamStats};
 use crate::traffic::{Request, TrafficMix};
@@ -68,7 +80,7 @@ use scar_hash::StableHasher;
 use scar_mcm::McmConfig;
 use scar_telemetry::Telemetry;
 use scar_workloads::{Model, Scenario, ScenarioModel};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -171,6 +183,21 @@ struct RoundPart {
     remainder: Option<Model>,
 }
 
+impl RoundPart {
+    /// The model this part runs: its remainder, or its stream's model.
+    fn model<'a>(&'a self, mix: &'a TrafficMix) -> &'a Model {
+        self.remainder
+            .as_ref()
+            .unwrap_or(&mix.streams[self.stream].model)
+    }
+
+    /// The part's live batch: its requests times its stream's per-request
+    /// samples.
+    fn batch(&self, mix: &TrafficMix) -> u64 {
+        self.reqs.len() as u64 * mix.streams[self.stream].samples_per_request
+    }
+}
+
 /// Slices the unexecuted remainder of a live model: layers
 /// `[executed_end, …)`. `executed_end == 0` (nothing ran) returns the
 /// model unchanged, so an un-started tenant reschedules as itself.
@@ -253,6 +280,8 @@ struct Run<'m> {
     /// The admission cost-DB probe per stream, memoized for the run.
     min_service: Vec<Option<f64>>,
     context: ServeContext,
+    /// The plain-round key prefixes, memoized for the run.
+    shapes: ShapeMemo,
     /// Completion latencies per stream, seconds.
     latencies: Vec<Vec<f64>>,
     /// Deadline misses per stream.
@@ -290,6 +319,40 @@ impl Run<'_> {
             if let Some(deadline) = r.deadline_s {
                 self.deadline_bound += 1;
                 self.misses[part.stream] += usize::from(done_at > deadline);
+            }
+        }
+    }
+}
+
+/// A run's memo of plain-round key prefixes: the [`shape_prefix`] hasher
+/// state of each ordered stream list a plain round has formed. A plain
+/// round runs every stream's whole model, so its batch-free key content is
+/// fixed by which streams it serves (the run fixes the context, and the
+/// simulator the MCM, metric, budget, and scheduler); only its batches
+/// change from round to round.
+#[derive(Default)]
+struct ShapeMemo {
+    prefixes: HashMap<Vec<usize>, StableHasher>,
+    /// The current round's stream list, reused so a memo hit allocates
+    /// nothing.
+    streams: Vec<usize>,
+}
+
+impl ShapeMemo {
+    /// The prefix for `parts`' stream list, from `build` on first sight.
+    fn prefix(
+        &mut self,
+        parts: &[RoundPart],
+        build: impl FnOnce() -> StableHasher,
+    ) -> StableHasher {
+        self.streams.clear();
+        self.streams.extend(parts.iter().map(|p| p.stream));
+        match self.prefixes.get(self.streams.as_slice()) {
+            Some(prefix) => prefix.clone(),
+            None => {
+                let prefix = build();
+                self.prefixes.insert(self.streams.clone(), prefix.clone());
+                prefix
             }
         }
     }
@@ -434,6 +497,37 @@ impl<'a> ServeSim<'a> {
         self.scheduler.as_ref()
     }
 
+    /// The state of a run over `arrivals` from `mix`, before its first
+    /// step.
+    fn new_run<'m>(&self, mix: &'m TrafficMix, arrivals: Vec<Request>) -> Run<'m> {
+        let streams = mix.streams.len();
+        Run {
+            mix,
+            next: 0,
+            t: 0.0,
+            queues: vec![VecDeque::new(); streams],
+            carried: Vec::new(),
+            cut: None,
+            min_service: vec![None; streams],
+            context: self.serve_context(mix),
+            shapes: ShapeMemo::default(),
+            latencies: vec![Vec::new(); streams],
+            misses: vec![0; streams],
+            rejected: vec![0; streams],
+            deadline_bound: 0,
+            rounds: 0,
+            preemptions: 0,
+            incremental_reschedules: 0,
+            full_searches: 0,
+            energy_j: 0.0,
+            makespan_s: 0.0,
+            busy_s: 0.0,
+            cache_before: self.cache.stats(),
+            evaluations_before: self.session.cost_evaluations(),
+            arrivals,
+        }
+    }
+
     /// Serves every request the mix emits in `[0, horizon_s)` to
     /// completion and reports the serving metrics.
     ///
@@ -487,31 +581,7 @@ impl<'a> ServeSim<'a> {
             arrivals.iter().all(|r| r.stream < mix.streams.len()),
             "every arrival must reference a stream of the mix"
         );
-        let streams = mix.streams.len();
-        let mut run = Run {
-            mix,
-            next: 0,
-            t: 0.0,
-            queues: vec![VecDeque::new(); streams],
-            carried: Vec::new(),
-            cut: None,
-            min_service: vec![None; streams],
-            context: self.serve_context(mix),
-            latencies: vec![Vec::new(); streams],
-            misses: vec![0; streams],
-            rejected: vec![0; streams],
-            deadline_bound: 0,
-            rounds: 0,
-            preemptions: 0,
-            incremental_reschedules: 0,
-            full_searches: 0,
-            energy_j: 0.0,
-            makespan_s: 0.0,
-            busy_s: 0.0,
-            cache_before: self.cache.stats(),
-            evaluations_before: self.session.cost_evaluations(),
-            arrivals,
-        };
+        let mut run = self.new_run(mix, arrivals);
         // local handle so the root span never borrows `self` across the
         // `&mut self` steps below; every per-phase interval nests under
         // it (trace coverage is measured against its extent)
@@ -530,9 +600,9 @@ impl<'a> ServeSim<'a> {
                 }
                 continue;
             }
-            let (live, parts) = self.assemble(&mut run);
-            let result = self.schedule_live(&mut run, &live)?;
-            self.execute(&mut run, &live, parts, &result);
+            let parts = self.assemble(&mut run);
+            let result = self.schedule_live(&mut run, &parts)?;
+            self.execute(&mut run, parts, &result);
         }
         drop(run_span);
         Ok(self.report(run))
@@ -588,10 +658,11 @@ impl<'a> ServeSim<'a> {
         })
     }
 
-    /// The assemble step: carried remainders (in carry order), then each
-    /// stream's queued requests up to `max_batch_per_stream`, fold into
-    /// the round's live scenario, one model per part.
-    fn assemble(&self, run: &mut Run<'_>) -> (Scenario, Vec<RoundPart>) {
+    /// The assemble step: the round's parts — carried remainders (in
+    /// carry order), then each stream's queued requests up to
+    /// `max_batch_per_stream`. The live scenario they describe is built
+    /// only when the schedule step needs it ([`Self::live_request`]).
+    fn assemble(&self, run: &mut Run<'_>) -> Vec<RoundPart> {
         let mut parts = std::mem::take(&mut run.carried);
         for (stream, q) in run.queues.iter_mut().enumerate() {
             if !q.is_empty() {
@@ -604,18 +675,7 @@ impl<'a> ServeSim<'a> {
                 });
             }
         }
-        let models = parts
-            .iter_mut()
-            .map(|p| {
-                let s = &run.mix.streams[p.stream];
-                ScenarioModel {
-                    model: p.remainder.take().unwrap_or_else(|| s.model.clone()),
-                    batch: p.reqs.len() as u64 * s.samples_per_request,
-                }
-            })
-            .collect();
-        let name = format!("{} @ {:.4}s", run.mix.name, run.t);
-        (Scenario::new(name, run.mix.use_case, models), parts)
+        parts
     }
 
     /// The execute step: advances the clock through the round's schedule
@@ -623,18 +683,13 @@ impl<'a> ServeSim<'a> {
     /// qualifying arrival lands mid-schedule, executes windows up to the
     /// one in flight, completes the models that finished, and carries the
     /// rest (with the cut instance) into the next round.
-    fn execute(
-        &self,
-        run: &mut Run<'_>,
-        live: &Scenario,
-        parts: Vec<RoundPart>,
-        result: &Rc<ScheduleResult>,
-    ) {
+    fn execute(&self, run: &mut Run<'_>, parts: Vec<RoundPart>, result: &Rc<ScheduleResult>) {
         run.rounds += 1;
-        let lats = result.window_latencies();
-        let window_total: f64 = lats.iter().sum();
+        let mix = run.mix;
+        let windows = result.windows();
+        let window_total: f64 = windows.iter().map(|win| win.latency_s).sum();
         let cut = if self.cfg.preemption {
-            self.splice_scan(run, &lats)
+            self.splice_scan(run, &result.window_latencies())
         } else {
             None
         };
@@ -642,14 +697,15 @@ impl<'a> ServeSim<'a> {
         let (executed_s, energy_j) = match cut {
             None => (window_total, result.total().energy_j),
             Some(w) => (
-                lats[..=w].iter().sum(),
-                result.windows()[..=w].iter().map(|win| win.energy_j).sum(),
+                windows[..=w].iter().map(|win| win.latency_s).sum(),
+                windows[..=w].iter().map(|win| win.energy_j).sum(),
             ),
         };
-        for (mi, (mut part, sm)) in parts.into_iter().zip(live.models()).enumerate() {
+        for (mi, mut part) in parts.into_iter().enumerate() {
+            let layers = part.model(mix).num_layers();
             let executed_end = match cut {
-                None => sm.model.num_layers(),
-                Some(w) => result.windows()[..=w]
+                None => layers,
+                Some(w) => windows[..=w]
                     .iter()
                     .flat_map(|win| &win.models)
                     .filter(|m| m.model == mi)
@@ -657,11 +713,11 @@ impl<'a> ServeSim<'a> {
                     .max()
                     .unwrap_or(0),
             };
-            if executed_end >= sm.model.num_layers() {
+            if executed_end >= layers {
                 let offset = result.model_completion_s(mi).unwrap_or(window_total);
                 run.complete(&part, run.t + offset);
             } else {
-                part.remainder = Some(remainder_model(&sm.model, executed_end));
+                part.remainder = Some(remainder_model(part.model(mix), executed_end));
                 run.carried.push(part);
             }
         }
@@ -779,23 +835,64 @@ impl<'a> ServeSim<'a> {
     /// parallelism. Public so tools can persist the exact request of a
     /// round (e.g. as a [`scar_core::ScheduleArtifact`]).
     pub fn schedule_request(&self, live: &Scenario) -> ScheduleRequest {
-        ScheduleRequest::new(live.clone(), self.mcm.clone())
+        self.request_for(live.clone())
+    }
+
+    /// [`Self::schedule_request`] over an owned scenario.
+    fn request_for(&self, live: Scenario) -> ScheduleRequest {
+        ScheduleRequest::new(live, self.mcm.clone())
             .metric(self.cfg.metric.clone())
             .budget(self.cfg.budget.clone())
             .parallelism(self.cfg.parallelism)
     }
 
-    /// [`Self::schedule_request`] plus a trace tag (the live scenario's
-    /// name) when tracing is on. The tag is observational only — never
-    /// fingerprinted, never consulted — so tagged and untagged requests
-    /// schedule identically.
-    fn tagged_request(&self, live: &Scenario) -> ScheduleRequest {
-        let request = self.schedule_request(live);
+    /// The request of a round that needs one — a cache miss, or a round
+    /// formed right after a splice: the live scenario its parts fold into
+    /// (one model per part, batch = requests × samples), plus a trace tag
+    /// (the scenario's name) when tracing is on. The tag is observational
+    /// only — never fingerprinted, never consulted — so tagged and
+    /// untagged requests schedule identically.
+    fn live_request(&self, run: &Run<'_>, parts: &[RoundPart]) -> ScheduleRequest {
+        let mix = run.mix;
+        let models = parts
+            .iter()
+            .map(|p| ScenarioModel {
+                model: p.model(mix).clone(),
+                batch: p.batch(mix),
+            })
+            .collect();
+        let name = format!("{} @ {:.4}s", mix.name, run.t);
+        let request = self.request_for(Scenario::new(name, mix.use_case, models));
         if self.tel.trace_enabled() {
-            request.trace_tag(live.name())
+            let tag = request.scenario.name().to_string();
+            request.trace_tag(tag)
         } else {
             request
         }
+    }
+
+    /// A plain round's cache keys `(full, shape)` — exactly
+    /// [`fingerprint_parts_in_context`] over its live scenario, without
+    /// building it: the run's memo supplies the shape prefix of the
+    /// round's stream list, and only the batches are folded in.
+    fn plain_keys(&self, run: &mut Run<'_>, parts: &[RoundPart]) -> (u64, u64) {
+        debug_assert!(
+            parts.iter().all(|p| p.remainder.is_none()),
+            "a plain round runs whole stream models"
+        );
+        let (mix, context) = (run.mix, run.context);
+        let prefix = run.shapes.prefix(parts, || {
+            shape_prefix(
+                mix.use_case,
+                parts.iter().map(|p| &mix.streams[p.stream].model),
+                self.mcm,
+                &self.cfg.metric,
+                &self.cfg.budget,
+                self.scheduler.as_ref(),
+                context,
+            )
+        });
+        fold_batches(prefix, parts.iter().map(|p| p.batch(mix)))
     }
 
     /// The serve-cache fingerprint context of one run: the admission
@@ -837,27 +934,31 @@ impl<'a> ServeSim<'a> {
     fn schedule_live(
         &mut self,
         run: &mut Run<'_>,
-        live: &Scenario,
+        parts: &[RoundPart],
     ) -> Result<Rc<ScheduleResult>, ScheduleError> {
         let tel = self.tel.clone();
         let in_flight = run.cut.take();
         let mut probe = tel.span("serve.cache.probe");
-        let (key, shape) = fingerprint_parts_in_context(
-            live,
-            self.mcm,
-            &self.cfg.metric,
-            &self.cfg.budget,
-            self.scheduler.as_ref(),
-            run.context,
-        );
-        // a plain round probes by reference: the owned request is only
-        // built on a miss, so cache hits stay allocation-free. A spliced
-        // round needs it for its key, and never seeds the incremental
-        // path (its remainder models are one-off), so it has no shape.
+        // a plain round is keyed from the run's shape memo and builds
+        // nothing: its live scenario and owned request exist only on a
+        // miss. A spliced round needs the request for its key, and never
+        // seeds the incremental path (its remainder models are one-off),
+        // so it has no shape.
         let (key, shape, request) = match &in_flight {
-            None => (key, self.incremental_enabled().then_some(shape), None),
+            None => {
+                let (key, shape) = self.plain_keys(run, parts);
+                (key, self.incremental_enabled().then_some(shape), None)
+            }
             Some(cut) => {
-                let request = self.tagged_request(live);
+                let request = self.live_request(run, parts);
+                let (key, _) = fingerprint_parts_in_context(
+                    &request.scenario,
+                    self.mcm,
+                    &self.cfg.metric,
+                    &self.cfg.budget,
+                    self.scheduler.as_ref(),
+                    run.context,
+                );
                 let mut h = StableHasher::new();
                 "preempt".hash(&mut h);
                 key.hash(&mut h);
@@ -880,7 +981,7 @@ impl<'a> ServeSim<'a> {
         let result = match hit {
             Some(hit) => hit,
             None => {
-                let request = request.unwrap_or_else(|| self.tagged_request(live));
+                let request = request.unwrap_or_else(|| self.live_request(run, parts));
                 let mut sp = tel.span("serve.schedule");
                 let result = if let Some(cut) = &in_flight {
                     sp.push_arg("kind", "preempt");
@@ -1352,6 +1453,73 @@ mod tests {
             report.windows_scheduled, 0,
             "nothing admitted, nothing scheduled"
         );
+    }
+
+    /// A plain round's memoized keys are exactly the full fingerprint of
+    /// the live scenario it would build: every stream subset (in stream
+    /// order) at several batches, under a non-default context, with and
+    /// without an inter-MCM fabric.
+    #[test]
+    fn plain_round_keys_equal_the_full_fingerprint() {
+        use scar_mcm::InterconnectSpec;
+        for (mix, profile) in [
+            (TrafficMix::arvr(1), Profile::ArVr),
+            (TrafficMix::datacenter(1), Profile::Datacenter),
+        ] {
+            let mix = mix.reshaped(crate::TrafficShape::Burst);
+            let plain = het_sides_3x3(profile);
+            let fabric = plain
+                .clone()
+                .with_interconnect(Some(InterconnectSpec::nop()));
+            for mcm in [&plain, &fabric] {
+                let cfg = ServeConfig {
+                    admission: crate::AdmissionKind::DeadlineFeasible,
+                    ..ServeConfig::default()
+                };
+                let sim = ServeSim::new(mcm, cfg);
+                let mut run = sim.new_run(&mix, Vec::new());
+                assert_ne!(run.context.admission, 0);
+                assert_ne!(run.context.traffic_shape, 0);
+                let streams = mix.streams.len();
+                for subset in 1..1u32 << streams {
+                    for requests in [1, 7, 32] {
+                        let parts: Vec<RoundPart> = (0..streams)
+                            .filter(|s| subset >> s & 1 == 1)
+                            .map(|stream| RoundPart {
+                                stream,
+                                reqs: vec![
+                                    Request {
+                                        id: 0,
+                                        stream,
+                                        arrival_s: 0.0,
+                                        deadline_s: None,
+                                    };
+                                    requests
+                                ],
+                                remainder: None,
+                            })
+                            .collect();
+                        let live = sim.live_request(&run, &parts).scenario;
+                        let full = fingerprint_parts_in_context(
+                            &live,
+                            mcm,
+                            &sim.cfg.metric,
+                            &sim.cfg.budget,
+                            sim.scheduler(),
+                            run.context,
+                        );
+                        assert_eq!(
+                            sim.plain_keys(&mut run, &parts),
+                            full,
+                            "{} on {}: streams {subset:#b}, {requests} requests",
+                            mix.name,
+                            mcm.name()
+                        );
+                    }
+                }
+                assert_eq!(run.shapes.prefixes.len(), (1 << streams) - 1);
+            }
+        }
     }
 
     #[test]
