@@ -11,9 +11,10 @@
 //! ```
 //!
 //! Exit codes: 0 pass, 1 gate failure (low coverage / missing phase),
-//! 2 usage or parse error. Splice spans only exist when mid-window
-//! preemption actually cut a round, so the splice phase is optional
-//! unless `--require-splice` is given.
+//! 2 usage or parse error, including a `--min-coverage` outside [0, 1].
+//! Splice spans only exist when mid-window preemption actually cut a
+//! round, so the splice phase is optional unless `--require-splice` is
+//! given.
 
 use scar_telemetry::analyze_trace;
 use std::process::ExitCode;
@@ -26,11 +27,16 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--min-coverage" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--min-coverage needs a fraction in [0, 1]");
-                    return ExitCode::from(2);
-                };
-                min_coverage = v;
+                // a NaN floor would pass every trace, so only a fraction
+                // in [0, 1] is a floor
+                let value = args.next().unwrap_or_default();
+                match value.parse::<f64>() {
+                    Ok(v) if (0.0..=1.0).contains(&v) => min_coverage = v,
+                    _ => {
+                        eprintln!("--min-coverage needs a fraction in [0, 1], got {value:?}");
+                        return ExitCode::from(2);
+                    }
+                }
             }
             "--require-splice" => require_splice = true,
             other if path.is_none() && !other.starts_with('-') => path = Some(a),

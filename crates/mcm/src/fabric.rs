@@ -151,9 +151,9 @@ impl InterconnectSpec {
         }
     }
 
-    /// Parses a fabric spec as used by `SCAR_FABRIC` /
-    /// `SCAR_REPLAY_FABRIC`: `"none"` → `None`, `"nop"` / `"wireless"` →
-    /// the corresponding default parameterization.
+    /// Parses a fabric spec as used by `SCAR_REPLAY_FABRIC`: `"none"` →
+    /// `None`, `"nop"` / `"wireless"` → the corresponding default
+    /// parameterization.
     ///
     /// # Errors
     ///

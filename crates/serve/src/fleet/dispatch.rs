@@ -322,8 +322,8 @@ impl DispatchPolicy for CacheAffinity {
     }
 }
 
-/// The built-in dispatch policies by configuration value (the
-/// `SCAR_DISPATCH` knob), mirroring [`crate::admission::AdmissionKind`].
+/// The built-in dispatch policies by configuration value, mirroring
+/// [`crate::admission::AdmissionKind`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum DispatchKind {
     /// [`RoundRobin`].
@@ -381,57 +381,25 @@ impl DispatchKind {
         }
     }
 
-    /// Parses a `SCAR_DISPATCH`-style spec: `rr`/`round-robin`,
-    /// `least`/`least-loaded`, `deadline`/`deadline-aware`, and
-    /// `affinity`/`cache-affinity` with an optional `:<max_lag_s>` spill
-    /// threshold and an optional further `:<rehome_every>` re-homing
-    /// epoch (`affinity:0.5`, `affinity:0.5:5000`).
+    /// Parses a policy name: `rr`/`round-robin`, `least`/`least-loaded`,
+    /// `deadline`/`deadline-aware`, or `affinity`/`cache-affinity` (at its
+    /// default configuration). Case and surrounding whitespace are
+    /// ignored.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the accepted forms.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let spec = spec.trim().to_ascii_lowercase();
-        let (head, arg) = match spec.split_once(':') {
-            Some((h, a)) => (h, Some(a)),
-            None => (spec.as_str(), None),
-        };
-        let no_arg = |kind: DispatchKind| match arg {
-            Some(_) => Err(format!("dispatch policy {head:?} takes no argument")),
-            None => Ok(kind),
-        };
-        match head {
-            "rr" | "round-robin" | "roundrobin" => no_arg(DispatchKind::RoundRobin),
-            "least" | "least-loaded" | "leastloaded" => no_arg(DispatchKind::LeastLoaded),
-            "deadline" | "deadline-aware" | "deadlineaware" => no_arg(DispatchKind::DeadlineAware),
-            "affinity" | "cache-affinity" | "cacheaffinity" => {
-                let (lag, every) = match arg {
-                    None => (None, None),
-                    Some(a) => match a.split_once(':') {
-                        Some((l, e)) => (Some(l), Some(e)),
-                        None => (Some(a), None),
-                    },
-                };
-                let max_lag_s = match lag.filter(|l| !l.is_empty()) {
-                    None => CacheAffinity::DEFAULT_MAX_LAG_S,
-                    Some(a) => a.parse::<f64>().ok().filter(|l| *l >= 0.0).ok_or(format!(
-                        "bad affinity spill threshold {a:?} (want a non-negative number of seconds)"
-                    ))?,
-                };
-                let rehome_every = match every {
-                    None => 0,
-                    Some(e) => e.parse::<usize>().map_err(|_| {
-                        format!("bad affinity re-homing epoch {e:?} (want a whole arrival count)")
-                    })?,
-                };
-                Ok(DispatchKind::CacheAffinity {
-                    max_lag_s,
-                    rehome_every,
-                })
-            }
+        match spec.trim().to_ascii_lowercase().as_str() {
+            "rr" | "round-robin" | "roundrobin" => Ok(DispatchKind::RoundRobin),
+            "least" | "least-loaded" | "leastloaded" => Ok(DispatchKind::LeastLoaded),
+            "deadline" | "deadline-aware" | "deadlineaware" => Ok(DispatchKind::DeadlineAware),
+            "affinity" | "cache-affinity" | "cacheaffinity" => Ok(DispatchKind::CacheAffinity {
+                max_lag_s: CacheAffinity::DEFAULT_MAX_LAG_S,
+                rehome_every: 0,
+            }),
             other => Err(format!(
-                "unknown dispatch policy {other:?} (try rr, least, deadline, \
-                 affinity, affinity:<max_lag_s> or affinity:<max_lag_s>:<rehome_every>)"
+                "unknown dispatch policy {other:?} (try rr, least, deadline or affinity)"
             )),
         }
     }
@@ -533,27 +501,6 @@ mod tests {
                     rehome_every: 0,
                 },
             ),
-            (
-                "cache-affinity:0.5",
-                DispatchKind::CacheAffinity {
-                    max_lag_s: 0.5,
-                    rehome_every: 0,
-                },
-            ),
-            (
-                "affinity:0.5:5000",
-                DispatchKind::CacheAffinity {
-                    max_lag_s: 0.5,
-                    rehome_every: 5000,
-                },
-            ),
-            (
-                "affinity::2500",
-                DispatchKind::CacheAffinity {
-                    max_lag_s: CacheAffinity::DEFAULT_MAX_LAG_S,
-                    rehome_every: 2500,
-                },
-            ),
         ] {
             let parsed = DispatchKind::parse(spec).expect(spec);
             assert_eq!(parsed, kind, "{spec}");
@@ -562,16 +509,27 @@ mod tests {
                 parsed.name()
             );
         }
-        for bad in [
-            "",
-            "nope",
-            "affinity:-1",
-            "affinity:x",
-            "rr:3",
-            "affinity:0.5:x",
-            "affinity:0.5:-3",
+        // anything else is an unknown policy, `:argument`s included; the
+        // message quotes the spec and lists the accepted names
+        for (bad, quoted) in [
+            ("", ""),
+            ("   ", ""),
+            ("nope", "nope"),
+            (":least", ":least"),
+            ("least:", "least:"),
+            ("rr:3", "rr:3"),
+            ("Affinity:0.5", "affinity:0.5"),
+            ("affinity:0.5:5000", "affinity:0.5:5000"),
         ] {
-            assert!(DispatchKind::parse(bad).is_err(), "{bad:?} must not parse");
+            let err = DispatchKind::parse(bad).unwrap_err();
+            assert!(
+                err.contains(&format!("unknown dispatch policy {quoted:?}")),
+                "{bad:?} → {err:?}"
+            );
+            assert!(
+                err.contains("try rr, least, deadline or affinity"),
+                "{err:?}"
+            );
         }
     }
 
@@ -584,8 +542,8 @@ mod tests {
 
     /// Every built-in's `name()` is a spec its own `parse()` accepts and
     /// maps back to the same kind (default-configured) — the guarantee
-    /// that lets reports, CI matrices, and `SCAR_DISPATCH` values quote
-    /// policy names verbatim.
+    /// that lets reports and benchmark configurations quote policy names
+    /// verbatim.
     #[test]
     fn builtin_names_parse_back_to_themselves() {
         for kind in DispatchKind::builtins() {
@@ -593,54 +551,6 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{} must self-parse: {e}", kind.name()));
             assert_eq!(reparsed, kind, "{}", kind.name());
         }
-    }
-
-    /// The `parse` error paths each carry a targeted, human-readable
-    /// message: empty heads, trailing garbage on the affinity epoch,
-    /// arguments handed to no-argument policies, and malformed
-    /// `affinity:<lag>:<epoch>` fields all name what was wrong.
-    #[test]
-    fn parse_errors_name_the_offense() {
-        // empty heads: nothing before the first `:` (or nothing at all)
-        for empty in ["", "   ", ":least", ":"] {
-            let err = DispatchKind::parse(empty).unwrap_err();
-            assert!(
-                err.contains("unknown dispatch policy \"\""),
-                "{empty:?} → {err:?}"
-            );
-        }
-        // no-argument policies reject any argument, even an empty one
-        for (spec, head) in [
-            ("least:", "least"),
-            ("rr:0", "rr"),
-            ("deadline-aware:soon", "deadline-aware"),
-        ] {
-            let err = DispatchKind::parse(spec).unwrap_err();
-            assert!(
-                err.contains(&format!("{head:?} takes no argument")),
-                "{spec:?} → {err:?}"
-            );
-        }
-        // malformed affinity lag: non-numeric, negative, or NaN
-        for bad_lag in ["affinity:abc", "affinity:-0.5", "affinity:nan"] {
-            let err = DispatchKind::parse(bad_lag).unwrap_err();
-            assert!(err.contains("spill threshold"), "{bad_lag:?} → {err:?}");
-        }
-        // malformed affinity epoch: non-integer, negative, or trailing
-        // garbage (a fourth `:` field rides along inside the epoch text)
-        for bad_epoch in [
-            "affinity:0.5:x",
-            "affinity:0.5:-3",
-            "affinity:0.5:2.5",
-            "affinity:0.5:5000:extra",
-            "affinity::",
-        ] {
-            let err = DispatchKind::parse(bad_epoch).unwrap_err();
-            assert!(err.contains("re-homing epoch"), "{bad_epoch:?} → {err:?}");
-        }
-        // unknown heads list the accepted forms
-        let err = DispatchKind::parse("weighted").unwrap_err();
-        assert!(err.contains("try rr, least, deadline"), "{err:?}");
     }
 
     #[test]

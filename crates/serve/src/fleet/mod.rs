@@ -112,17 +112,6 @@ impl ReplicaSpec {
             })
             .collect()
     }
-
-    /// `n` identical Het-Sides replicas sharing `base` — the homogeneous
-    /// fleet (`SCAR_FLEET_HET=0`).
-    pub fn homogeneous(n: usize, profile: Profile, base: ServeConfig) -> Vec<ReplicaSpec> {
-        (0..n)
-            .map(|_| ReplicaSpec {
-                mcm: templates::het_sides_3x3(profile),
-                cfg: base.clone(),
-            })
-            .collect()
-    }
 }
 
 /// Fleet-level configuration: how to route, and where to record.
@@ -136,15 +125,11 @@ pub struct FleetConfig {
     /// [`Session`] backs every replica: it opens once
     /// ([`Session::open`]) before the dispatch probe, threads through the
     /// replicas in merge order (entries replica `k` evaluates serve
-    /// replica `k+1` warm), and saves once — compacted per
-    /// [`FleetConfig::cost_db_max_entries`] — after the last replica. A
+    /// replica `k+1` warm), and saves once after the last replica. A
     /// warm fleet then runs at **zero** cost-model evaluations
     /// ([`FleetReport::cost_evaluations`]). `None` (the default) gives
     /// every replica its own fresh session.
     pub cost_db_path: Option<PathBuf>,
-    /// Entry bound applied by [`Session::compact_costs`] at fleet save
-    /// time (shared snapshots grow with every distinct replica class).
-    pub cost_db_max_entries: Option<usize>,
     /// Telemetry sink for the whole fleet: the dispatch pass, every
     /// replica's serving loop, and the fleet-level counters all record
     /// into this one handle. Observational only.
@@ -156,7 +141,6 @@ impl Default for FleetConfig {
         Self {
             dispatch: DispatchKind::RoundRobin,
             cost_db_path: None,
-            cost_db_max_entries: None,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -182,16 +166,6 @@ impl FleetSim {
     pub fn new(replicas: Vec<ReplicaSpec>, cfg: FleetConfig) -> Self {
         assert!(!replicas.is_empty(), "a fleet needs at least one replica");
         Self { replicas, cfg }
-    }
-
-    /// Number of replicas.
-    pub fn size(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// The configured dispatch policy kind.
-    pub fn dispatch(&self) -> &DispatchKind {
-        &self.cfg.dispatch
     }
 
     /// Serves every request the mix emits in `[0, horizon_s)` across the
@@ -220,8 +194,8 @@ impl FleetSim {
 
         // One shared session when the fleet persists a cost DB: opened
         // once here, threaded through the probe and every replica, saved
-        // once (compacted) after the last replica. `None` gives every
-        // replica a fresh session.
+        // once after the last replica. `None` gives every replica a fresh
+        // session.
         let mut shared_session = self.cfg.cost_db_path.as_ref().map(|path| {
             Session::open(path)
                 .unwrap_or_else(|e| panic!("fleet cost_db_path {}: {e}", path.display()))
@@ -385,9 +359,6 @@ impl FleetSim {
             });
         }
         if let (Some(session), Some(path)) = (&shared_session, &self.cfg.cost_db_path) {
-            if let Some(max) = self.cfg.cost_db_max_entries {
-                session.compact_costs(max);
-            }
             if let Err(e) = session.save_costs(path) {
                 eprintln!("warning: failed to persist fleet cost database: {e}");
             }
@@ -529,15 +500,18 @@ mod tests {
     fn single_replica_fleet_matches_plain_serve_sim() {
         let mix = TrafficMix::arvr(3);
         for kind in DispatchKind::builtins() {
+            let mcm = templates::het_sides_3x3(Profile::ArVr);
             let mut fleet = FleetSim::new(
-                ReplicaSpec::homogeneous(1, Profile::ArVr, ServeConfig::default()),
+                vec![ReplicaSpec {
+                    mcm: mcm.clone(),
+                    cfg: ServeConfig::default(),
+                }],
                 FleetConfig {
                     dispatch: kind,
                     ..FleetConfig::default()
                 },
             );
             let fleet_report = fleet.run(&mix, 0.1).unwrap();
-            let mcm = templates::het_sides_3x3(Profile::ArVr);
             let mut plain = ServeSim::new(&mcm, ServeConfig::default());
             let plain_report = plain.run(&mix, 0.1).unwrap();
             assert_eq!(fleet_report.replicas[0].report, plain_report);

@@ -10,9 +10,10 @@
 //!   changes *only* the inter-MCM tier: on-package and off-chip pricing
 //!   stay bit-identical to the spec-less config.
 //! * **Fabric-cost conservation** — a fleet's [`FabricRollup`] equals the
-//!   per-replica migration accounting summed exactly.
-//! * **Re-homing determinism** — cache-affinity with a re-homing epoch
-//!   stays Serial ≡ Fixed(4) and run-to-run byte-identical.
+//!   per-replica migration accounting summed exactly, under the `nop` and
+//!   `wireless` fabrics.
+//! * **Re-homing** — cache-affinity with a re-homing epoch fires under
+//!   imbalance and stays Serial ≡ Fixed(4) and run-to-run byte-identical.
 //! * **No-regression** — a single-replica fleet over a wireless fabric is
 //!   still a plain [`ServeSim`] run, and a warm fleet sharing one
 //!   persisted cost DB evaluates MAESTRO exactly zero times.
@@ -21,8 +22,8 @@ use scar::core::Parallelism;
 use scar::mcm::templates::{het_sides_3x3, Profile};
 use scar::mcm::{CommCost, InterconnectSpec, Loc};
 use scar::serve::{
-    DispatchKind, FleetConfig, FleetSim, ReplicaSpec, ServeConfig, ServeSim, TrafficMix,
-    TrafficShape,
+    CacheAffinity, DispatchKind, FleetConfig, FleetSim, ReplicaSpec, ServeConfig, ServeSim,
+    TrafficMix, TrafficShape,
 };
 
 fn close(got: f64, want: f64, tol: f64, what: &str) {
@@ -139,45 +140,58 @@ fn nop_spec_changes_only_the_inter_mcm_tier() {
 
 /// Conservation of fabric accounting: the fleet-level [`FabricRollup`] is
 /// exactly the per-replica migration columns summed (same floats, not
-/// approximately), and every priced migration shows up in both.
+/// approximately), and every priced migration shows up in both — over
+/// grounded SerDes and over the wireless interposer alike.
 #[test]
 fn fabric_costs_conserve_across_replicas() {
     let mix = TrafficMix::arvr(7).reshaped(TrafficShape::Burst);
-    // round-robin deliberately ping-pongs streams between replicas, so the
-    // fabric tier gets exercised hard
-    let mut fleet = FleetSim::new(
-        priced_replicas(3, InterconnectSpec::nop(), busy_cfg(Parallelism::Serial)),
-        FleetConfig {
-            dispatch: DispatchKind::RoundRobin,
-            ..FleetConfig::default()
-        },
-    );
-    let report = fleet.run(&mix, 0.2).unwrap();
-    let fab = report.fabric.as_ref().expect("priced replicas → rollup");
-    assert_eq!(fab.fabric, "nop");
-    assert!(fab.migrations > 0, "round-robin must migrate streams");
-    assert!(fab.bytes > 0 && fab.cost_s > 0.0 && fab.energy_j > 0.0);
+    for spec in [InterconnectSpec::nop(), InterconnectSpec::wireless()] {
+        let label = spec.label();
+        // round-robin deliberately ping-pongs streams between replicas, so
+        // the fabric tier gets exercised hard
+        let mut fleet = FleetSim::new(
+            priced_replicas(3, spec, busy_cfg(Parallelism::Serial)),
+            FleetConfig {
+                dispatch: DispatchKind::RoundRobin,
+                ..FleetConfig::default()
+            },
+        );
+        let report = fleet.run(&mix, 0.2).unwrap();
+        let fab = report.fabric.as_ref().expect("priced replicas → rollup");
+        assert_eq!(fab.fabric, label);
+        assert!(
+            fab.migrations > 0,
+            "{label}: round-robin must migrate streams"
+        );
+        assert!(
+            fab.bytes > 0 && fab.cost_s > 0.0 && fab.energy_j > 0.0,
+            "{label}"
+        );
 
-    let (mut mig, mut bytes, mut cost, mut energy) = (0u64, 0u64, 0.0f64, 0.0f64);
-    for r in &report.replicas {
-        mig += r.migrated_in;
-        bytes += r.fabric_bytes;
-        cost += r.fabric_cost_s;
-        energy += r.fabric_energy_j;
+        let (mut mig, mut bytes, mut cost, mut energy) = (0u64, 0u64, 0.0f64, 0.0f64);
+        for r in &report.replicas {
+            mig += r.migrated_in;
+            bytes += r.fabric_bytes;
+            cost += r.fabric_cost_s;
+            energy += r.fabric_energy_j;
+        }
+        assert_eq!(fab.migrations, mig, "{label}: migration count conserves");
+        assert_eq!(fab.bytes, bytes, "{label}: byte count conserves");
+        assert_eq!(
+            fab.cost_s, cost,
+            "{label}: backlog seconds conserve exactly"
+        );
+        assert_eq!(fab.energy_j, energy, "{label}: energy conserves exactly");
+
+        // every migration priced a positive transfer through a replica fabric
+        assert!(
+            report
+                .replicas
+                .iter()
+                .all(|r| (r.migrated_in == 0) == (r.fabric_bytes == 0)),
+            "{label}: migrations and bytes appear together"
+        );
     }
-    assert_eq!(fab.migrations, mig, "migration count conserves");
-    assert_eq!(fab.bytes, bytes, "byte count conserves");
-    assert_eq!(fab.cost_s, cost, "backlog seconds conserve exactly");
-    assert_eq!(fab.energy_j, energy, "energy conserves exactly");
-
-    // every migration priced a positive transfer through a replica fabric
-    assert!(
-        report
-            .replicas
-            .iter()
-            .all(|r| (r.migrated_in == 0) == (r.fabric_bytes == 0)),
-        "migrations and bytes appear together"
-    );
 }
 
 /// Load-driven re-homing keeps the routing tier's determinism contract:
@@ -215,27 +229,50 @@ fn rehoming_is_deterministic_and_parallelism_invariant() {
     }
 }
 
-/// The rebalancer actually fires on sustained imbalance: four streams
-/// hashed onto three replicas leave one home twice as loaded, and the
-/// epoch rebalancer moves a stream off it.
+/// The rebalancer actually fires on sustained imbalance, in two regimes:
+/// four streams hashed onto three replicas leave one home twice as
+/// loaded; and on the heterogeneous 4-replica fleet, 75 s of burst
+/// traffic at the default spill threshold leaves homes unevenly loaded.
+/// In both the epoch rebalancer moves a stream off the busiest home.
 #[test]
 fn rehoming_fires_under_imbalance() {
-    let mix = TrafficMix::arvr(5);
-    let mut fleet = FleetSim::new(
-        priced_replicas(3, InterconnectSpec::nop(), busy_cfg(Parallelism::Serial)),
-        FleetConfig {
-            dispatch: DispatchKind::CacheAffinity {
-                max_lag_s: 0.05,
-                rehome_every: 32,
+    let burst = TrafficMix::arvr(0xF1EE7).reshaped(TrafficShape::Burst);
+    // (replicas, serving config, mix, horizon s, spill threshold s, epoch)
+    let cases = [
+        (
+            3,
+            busy_cfg(Parallelism::Serial),
+            TrafficMix::arvr(5),
+            0.3,
+            0.05,
+            32,
+        ),
+        (
+            4,
+            ServeConfig::default(),
+            burst,
+            75.0,
+            CacheAffinity::DEFAULT_MAX_LAG_S,
+            64,
+        ),
+    ];
+    for (n, cfg, mix, horizon_s, max_lag_s, rehome_every) in cases {
+        let mut fleet = FleetSim::new(
+            priced_replicas(n, InterconnectSpec::nop(), cfg),
+            FleetConfig {
+                dispatch: DispatchKind::CacheAffinity {
+                    max_lag_s,
+                    rehome_every,
+                },
+                ..FleetConfig::default()
             },
-            ..FleetConfig::default()
-        },
-    );
-    let report = fleet.run(&mix, 0.3).unwrap();
-    assert!(
-        report.rehomed > 0,
-        "2-streams-on-one-home imbalance must trigger re-homing: {report}"
-    );
+        );
+        let report = fleet.run(&mix, horizon_s).unwrap();
+        assert!(
+            report.rehomed > 0,
+            "{n} replicas, epoch {rehome_every}: imbalance must trigger re-homing: {report}"
+        );
+    }
 }
 
 /// A single-replica fleet over a *wireless* fabric is still a plain
