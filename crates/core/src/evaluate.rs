@@ -17,11 +17,17 @@
 //! Energy is always aggregated (computation + NoP + DRAM), per §III-E.
 //! The NoP conflict term δ is computed from all of a window's flows with
 //! [`LinkLoads`] and folded back into segment latencies.
+//!
+//! Every batch entry point evaluates its windows in chunks, and each chunk
+//! reads the cost database through one dense cost table: the `b′` sweep asks
+//! for every (layer, divisor, chiplet) of a window, and a search chunk asks
+//! again for every candidate of the same window, so the table answers all
+//! repeats of a key from a dense array after one database query.
 
 use crate::parallel::{self, Parallelism};
 use crate::problem::{EvalTotals, OptMetric, ScheduleInstance, WindowSchedule};
-use scar_maestro::{CostDatabase, CostReader};
-use scar_mcm::{LinkLoads, Loc, McmConfig};
+use scar_maestro::{ChipletClassKey, CostDatabase, CostReader};
+use scar_mcm::{ChipletId, LinkLoads, Loc, McmConfig};
 use scar_workloads::{DataType, Scenario};
 use serde::{Deserialize, Serialize};
 
@@ -100,6 +106,11 @@ pub struct Evaluator<'a> {
     /// every candidate window, so re-deriving it per call is pure hot-path
     /// overhead.
     divisors: Vec<Vec<u64>>,
+    /// Per chiplet: the index of its cost-database class (chiplets with
+    /// equal [`ChipletClassKey`]s read the same entries).
+    class_of: Vec<usize>,
+    /// Number of distinct chiplet classes on the package.
+    classes: usize,
 }
 
 impl<'a> Evaluator<'a> {
@@ -120,12 +131,26 @@ impl<'a> Evaluator<'a> {
             .iter()
             .map(|sm| divisors_desc(sm.batch))
             .collect();
+        let mut keys: Vec<ChipletClassKey> = Vec::new();
+        let class_of = mcm
+            .chiplets()
+            .iter()
+            .map(|c| {
+                let key = c.cache_key();
+                keys.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                })
+            })
+            .collect();
         Self {
             scenario,
             mcm,
             db,
             metric,
             divisors,
+            class_of,
+            classes: keys.len(),
         }
     }
 
@@ -140,15 +165,15 @@ impl<'a> Evaluator<'a> {
     /// window order, so the result is bit-identical for any thread count.
     ///
     /// The shared evaluation context (precomputed batch divisors, one
-    /// batched cost-database read handle per worker) is hoisted once per
-    /// schedule rather than re-derived per window.
+    /// dense cost table per worker) is hoisted once per schedule rather than
+    /// re-derived per window.
     pub fn evaluate_schedule_par(
         &self,
         s: &ScheduleInstance,
         parallelism: Parallelism,
     ) -> (EvalTotals, Vec<WindowEval>) {
         let evals = parallel::par_map_chunks(&s.windows, parallelism.threads(), |chunk| {
-            let mut costs = self.db.reader();
+            let mut costs = self.cost_table();
             chunk
                 .iter()
                 .map(|w| self.evaluate_window_with(w, &mut costs))
@@ -163,25 +188,40 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates one window schedule.
     pub fn evaluate_window(&self, ws: &WindowSchedule) -> WindowEval {
-        self.evaluate_window_with(ws, &mut self.db.reader())
+        self.evaluate_window_with(ws, &mut self.cost_table())
     }
 
     /// Evaluates a slice of candidate window schedules with shared
-    /// per-slice setup: one batched cost-database read handle serves every
-    /// candidate in the slice instead of one lock round-trip per query.
-    /// Results are bit-identical to calling [`Evaluator::evaluate_window`]
-    /// per element, in order.
+    /// per-slice setup: one dense cost table serves every candidate in the
+    /// slice, so each cost-database key is queried once per slice rather
+    /// than once per candidate. Results are bit-identical to calling
+    /// [`Evaluator::evaluate_window`] per element, in order.
     pub fn evaluate_windows(&self, windows: &[&WindowSchedule]) -> Vec<WindowEval> {
-        let mut costs = self.db.reader();
+        let mut costs = self.cost_table();
         windows
             .iter()
             .map(|w| self.evaluate_window_with(w, &mut costs))
             .collect()
     }
 
-    /// [`Evaluator::evaluate_window`] against a caller-provided cost
-    /// handle (the batched hot path).
-    fn evaluate_window_with(&self, ws: &WindowSchedule, costs: &mut CostReader<'_>) -> WindowEval {
+    /// An empty cost table for one evaluation chunk.
+    fn cost_table(&self) -> CostTable<'_, 'a> {
+        CostTable {
+            ev: self,
+            reader: self.db.reader(),
+            spans: Vec::new(),
+            cells: Vec::new(),
+        }
+    }
+
+    /// [`Evaluator::evaluate_window`] against a caller-provided cost table
+    /// (the batched hot path).
+    fn evaluate_window_with(
+        &self,
+        ws: &WindowSchedule,
+        costs: &mut CostTable<'_, '_>,
+    ) -> WindowEval {
+        costs.cover(ws);
         let num_models = self.scenario.models().len();
         let mut per_model: Vec<Option<ModelWindowEval>> = vec![None; num_models];
 
@@ -243,11 +283,11 @@ impl<'a> Evaluator<'a> {
         ws: &WindowSchedule,
         m: usize,
         batch: u64,
-        costs: &mut CostReader<'_>,
+        costs: &mut CostTable<'_, '_>,
     ) -> (u64, Vec<SegPlan>) {
         let mut best: Option<(f64, u64, Vec<SegPlan>)> = None;
-        for &bp in &self.divisors[m] {
-            let segs = self.plan_at(ws, m, bp, costs);
+        for (d, &bp) in self.divisors[m].iter().enumerate() {
+            let segs = self.plan_at(ws, m, d, costs);
             let passes = batch / bp;
             let totals = self.rough_totals(&segs, passes);
             let score = self.metric.score(&totals);
@@ -292,14 +332,16 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Builds segment plans for mini-batch `bp`.
+    /// Builds segment plans for the mini-batch at position `d` of model
+    /// `m`'s divisor list.
     fn plan_at(
         &self,
         ws: &WindowSchedule,
         m: usize,
-        bp: u64,
-        costs: &mut CostReader<'_>,
+        d: usize,
+        costs: &mut CostTable<'_, '_>,
     ) -> Vec<SegPlan> {
+        let bp = self.divisors[m][d];
         let layers = self.scenario.models()[m].model.layers();
         let segs = &ws.segments[m];
         let places = &ws.placement[m];
@@ -312,9 +354,9 @@ impl<'a> Evaluator<'a> {
             let mut weight_bytes = 0u64;
             let mut act_peak = 0u64;
             for l in seg.layer_range() {
-                let cost = costs.get(class, &layers[l].kind, bp);
-                comp_time += cost.time_s;
-                comp_energy += cost.energy_j;
+                let (time_s, energy_j) = costs.get(m, l, d, chiplet);
+                comp_time += time_s;
+                comp_energy += energy_j;
                 weight_bytes += layers[l].weight_bytes(dt);
                 act_peak =
                     act_peak.max(layers[l].input_bytes(dt) * bp + layers[l].output_bytes(dt) * bp);
@@ -400,6 +442,77 @@ impl<'a> Evaluator<'a> {
             passes,
             seg_latency_s: seg_lat,
         }
+    }
+}
+
+/// One evaluation chunk's dense view of the cost database: `(latency,
+/// energy)` cells indexed by (model, layer, position in the model's
+/// batch-divisor list, chiplet class), each filled from the chunk's
+/// [`CostReader`] the first time it is read.
+///
+/// A cell holds exactly what the reader returned, so reading through the
+/// table is bit-identical to querying per layer. Keys are first queried in
+/// the order the evaluator first needs them, so misses are computed, counted
+/// and stamped as the per-query path would. The table covers only the layer
+/// span of the windows it serves and is laid out anew when a window leaves
+/// that span, so its setup stays proportional to the windows evaluated.
+struct CostTable<'e, 'a> {
+    ev: &'e Evaluator<'a>,
+    reader: CostReader<'a>,
+    /// Per model: the layer span the table covers and its first cell.
+    spans: Vec<TableSpan>,
+    cells: Vec<Option<(f64, f64)>>,
+}
+
+/// One model's slice of a [`CostTable`]: layers `first..first + len`, laid
+/// out divisor-major, then class, then layer.
+#[derive(Debug, Clone, Copy)]
+struct TableSpan {
+    first: usize,
+    len: usize,
+    offset: usize,
+}
+
+impl CostTable<'_, '_> {
+    /// Makes the table cover every segment of `ws`, clearing it when one
+    /// falls outside the span laid out so far.
+    fn cover(&mut self, ws: &WindowSchedule) {
+        let covered = self.spans.len() == ws.segments.len()
+            && ws.segments.iter().zip(&self.spans).all(|(segs, span)| {
+                segs.iter()
+                    .all(|s| s.start >= span.first && s.end <= span.first + span.len)
+            });
+        if covered {
+            return;
+        }
+        self.spans.clear();
+        let mut offset = 0;
+        for (segs, divs) in ws.segments.iter().zip(&self.ev.divisors) {
+            let first = segs.iter().map(|s| s.start).min().unwrap_or(0);
+            let end = segs.iter().map(|s| s.end).max().unwrap_or(first);
+            let len = end - first;
+            self.spans.push(TableSpan { first, len, offset });
+            offset += len * divs.len() * self.ev.classes;
+        }
+        self.cells.clear();
+        self.cells.resize(offset, None);
+    }
+
+    /// The `(latency, energy)` of layer `l` of model `m` at divisor
+    /// position `d` on `chiplet`'s class.
+    fn get(&mut self, m: usize, l: usize, d: usize, chiplet: ChipletId) -> (f64, f64) {
+        let ev = self.ev;
+        let span = self.spans[m];
+        let class = ev.class_of[chiplet];
+        let cell =
+            &mut self.cells[span.offset + (d * ev.classes + class) * span.len + l - span.first];
+        *cell.get_or_insert_with(|| {
+            let kind = &ev.scenario.models()[m].model.layers()[l].kind;
+            let cost = self
+                .reader
+                .get(ev.mcm.chiplet(chiplet), kind, ev.divisors[m][d]);
+            (cost.time_s, cost.energy_j)
+        })
     }
 }
 
@@ -587,6 +700,66 @@ mod tests {
         let disjoint = single_window(&sc, vec![vec![0, 1], vec![6, 7], vec![3, 4, 5]]);
         let e = ev.evaluate_window(&disjoint);
         assert!(e.latency_s > 0.0 && e.energy_j > 0.0);
+    }
+
+    /// One chunk's cost table serves every window of a batch: windows of
+    /// one span under different placements reuse its cells, and windows
+    /// over other spans lay it out anew. Every entry point must agree bit
+    /// for bit with evaluating each window on its own.
+    #[test]
+    fn batched_evaluation_is_bit_identical_to_per_window() {
+        let sc = Scenario::datacenter(3); // ResNet at batch 32: six divisors
+        let session = crate::Session::new();
+        let db = session.database();
+        let halves = |sc: &Scenario, second: bool, placement: Vec<Vec<usize>>| {
+            let mut ws = single_window(sc, placement);
+            for (m, sm) in sc.models().iter().enumerate() {
+                let n = sm.model.num_layers();
+                let (start, end) = if second { (n / 2, n) } else { (0, n / 2) };
+                ws.window.layers[m] = start..end;
+                let k = ws.placement[m].len();
+                ws.segments[m] = (0..k)
+                    .map(|i| {
+                        let len = end - start;
+                        Segment::new(m, start + len * i / k, start + len * (i + 1) / k)
+                    })
+                    .collect();
+            }
+            ws
+        };
+        for mcm in scar_mcm::templates::all_3x3(Profile::Datacenter) {
+            let ev = Evaluator::new(&sc, &mcm, db);
+            let windows = vec![
+                single_window(&sc, vec![vec![3], vec![4], vec![0, 1, 2]]),
+                single_window(&sc, vec![vec![0, 1], vec![6, 7], vec![3, 4, 5]]),
+                halves(&sc, false, vec![vec![8], vec![5, 2], vec![6, 3, 0]]),
+                single_window(&sc, vec![vec![8], vec![5], vec![6, 3, 0, 1]]),
+                halves(&sc, true, vec![vec![1], vec![2], vec![5, 4]]),
+                halves(&sc, true, vec![vec![4, 3], vec![0], vec![7, 8, 5]]),
+            ];
+            let single: Vec<WindowEval> = windows.iter().map(|w| ev.evaluate_window(w)).collect();
+            let refs: Vec<&WindowSchedule> = windows.iter().collect();
+            let batched = ev.evaluate_windows(&refs);
+            assert_eq!(
+                format!("{batched:?}"),
+                format!("{single:?}"),
+                "{}",
+                mcm.name()
+            );
+            let schedule = ScheduleInstance { windows };
+            for parallelism in [Parallelism::Serial, Parallelism::Fixed(4)] {
+                let (totals, evals) = ev.evaluate_schedule_par(&schedule, parallelism);
+                assert_eq!(
+                    format!("{evals:?}"),
+                    format!("{single:?}"),
+                    "{}",
+                    mcm.name()
+                );
+                let mut sum = EvalTotals::default();
+                single.iter().for_each(|e| sum.accumulate(e.totals()));
+                assert_eq!(format!("{totals:?}"), format!("{sum:?}"));
+            }
+        }
     }
 
     #[test]

@@ -195,10 +195,10 @@ mod tests {
         // the heaviest model should receive at least as many nodes as the
         // lightest
         let heaviest = (0..sc.models().len())
-            .max_by(|&x, &y| e.model_latency(x).partial_cmp(&e.model_latency(y)).unwrap())
+            .max_by(|&x, &y| e.model_latency(x).total_cmp(&e.model_latency(y)))
             .unwrap();
         let lightest = (0..sc.models().len())
-            .min_by(|&x, &y| e.model_latency(x).partial_cmp(&e.model_latency(y)).unwrap())
+            .min_by(|&x, &y| e.model_latency(x).total_cmp(&e.model_latency(y)))
             .unwrap();
         assert!(a[heaviest] >= a[lightest]);
     }

@@ -191,7 +191,7 @@ mod tests {
         assert!(p.len() >= 2, "heavy scenario should span multiple windows");
         // the longest model's layers appear in more than one window
         let longest = (0..sc.models().len())
-            .max_by(|&a, &b| e.model_latency(a).partial_cmp(&e.model_latency(b)).unwrap())
+            .max_by(|&a, &b| e.model_latency(a).total_cmp(&e.model_latency(b)))
             .unwrap();
         let windows_with_longest = p
             .windows()
@@ -209,7 +209,7 @@ mod tests {
         let p = partition(&sc, &e, 4, PackingRule::Greedy);
         // find the model with the smallest expected latency
         let lightest = (0..sc.models().len())
-            .min_by(|&a, &b| e.model_latency(a).partial_cmp(&e.model_latency(b)).unwrap())
+            .min_by(|&a, &b| e.model_latency(a).total_cmp(&e.model_latency(b)))
             .unwrap();
         let last_active = p
             .windows()

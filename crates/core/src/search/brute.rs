@@ -16,10 +16,14 @@
 //! placement space) is redistributed to the allocations after it instead of
 //! being silently lost.
 //!
-//! Segmentation expansion — the dominant generation cost — runs in
-//! *parallel* across allocations: each model's top-k list is a pure
-//! function of its content-derived subproblem key (search seed, layer
-//! range, node/cap budgets, fabric parameters — see
+//! Segmentation expansion and the placement walk are generation's two
+//! large costs: at one search thread on a 2-vCPU host they take 11.6%
+//! and 15.0% of an overload serving pass, and 13.1% and 4.0% of a
+//! cache-affinity fleet pass, against 5.3% and 2.1% for building the
+//! candidates (DESIGN.md §6 has the full split). Segmentation expansion
+//! runs in *parallel* across allocations: each model's top-k list is a
+//! pure function of its content-derived subproblem key (search seed,
+//! layer range, node/cap budgets, fabric parameters — see
 //! [`segmentation::subproblem_key`](crate::segmentation::subproblem_key)),
 //! so `par_map` workers prepare allocations independently, identical
 //! subproblems hit the scheduler-wide [`SegMemo`](crate::segmentation::SegMemo)
@@ -120,7 +124,7 @@ impl<'c, 'r> BruteSource<'c, 'r> {
         let combos = &prep.combos;
 
         // placements depend only on segment counts: cache by signature
-        let mut placement_cache: HashMap<Vec<usize>, Vec<tree::Placement>> = HashMap::new();
+        let mut placement_cache: HashMap<Vec<usize>, tree::PlacementSet> = HashMap::new();
         let mut rotate = 0usize;
         let mut out: Vec<WindowCandidate> = Vec::new();
 
@@ -137,7 +141,7 @@ impl<'c, 'r> BruteSource<'c, 'r> {
                 // the tree" from the rest of search.generation (it nests
                 // inside that span on the coordinating thread)
                 let mut span = self.ctx.tel.span("search.placements");
-                let placements = tree::enumerate_placements(
+                let placements = tree::placement_set(
                     self.ctx.mcm,
                     &counts,
                     &self.prefs,
@@ -168,16 +172,16 @@ impl<'c, 'r> BruteSource<'c, 'r> {
             .min(placements.len());
 
             for j in 0..share {
-                let placement = if j == 0 {
-                    &placements[0]
+                let pj = if j == 0 {
+                    0
                 } else {
-                    &placements[(rotate + j) % placements.len()]
+                    (rotate + j) % placements.len()
                 };
                 let mut segments = vec![Vec::new(); num_models];
                 let mut place = vec![Vec::new(); num_models];
-                for ((&m, segs), path) in self.active.iter().zip(&seg_choice).zip(placement) {
+                for (i, (&m, segs)) in self.active.iter().zip(&seg_choice).enumerate() {
                     segments[m] = (*segs).clone();
-                    place[m] = path.clone();
+                    place[m] = placements.path(pj, i).to_vec();
                 }
                 out.push(WindowCandidate {
                     id: base_id + out.len() as u64,
@@ -255,7 +259,7 @@ fn prepare_alloc(
             break;
         }
     }
-    combos.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    combos.sort_by(|a, b| a.0.total_cmp(&b.0));
     combos.truncate(MAX_COMBOS);
 
     Some(PreparedAlloc {
@@ -306,8 +310,7 @@ fn affinity_prefs(ctx: &SearchCtx<'_>, window: &TimeWindow, active: &[usize]) ->
             ids.sort_by(|&a, &b| {
                 let la = cost_of(ctx.mcm.chiplet(a).dataflow);
                 let lb = cost_of(ctx.mcm.chiplet(b).dataflow);
-                la.partial_cmp(&lb)
-                    .unwrap()
+                la.total_cmp(&lb)
                     .then_with(|| {
                         ctx.mcm
                             .nearest_interface(a)

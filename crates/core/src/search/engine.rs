@@ -2,10 +2,13 @@
 //! streams.
 //!
 //! The per-window search is generate-then-score over
-//! (allocation × segmentation × placement) candidates. Generation is cheap,
-//! sequential, and RNG-driven; evaluation (the §III-E cost model) dominates
-//! wall-clock and is embarrassingly parallel. The engine exploits that
-//! split:
+//! (allocation × segmentation × placement) candidates. Generation is
+//! sequential and RNG-driven; evaluation (the §III-E cost model) is
+//! embarrassingly parallel. Neither half is cheap: at one search thread
+//! on a 2-vCPU host, evaluation takes 53% of an overload serving pass
+//! and generation (segmentation top-k, placement walk, candidate
+//! materialization) most of the rest of the search's 89% (DESIGN.md §6).
+//! The engine exploits that split:
 //!
 //! * a [`CandidateSource`] (brute-force or evolutionary) produces ordered
 //!   batches of [`WindowCandidate`]s, drawing all of its randomness on the

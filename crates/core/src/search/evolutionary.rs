@@ -117,7 +117,7 @@ impl<'c, 'r> EvoSource<'c, 'r> {
             .into_iter()
             .zip(std::mem::take(&mut self.population))
             .collect();
-        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        scored.sort_by(|a, b| a.0.total_cmp(&b.0));
 
         // next generation: elitism + tournament + crossover + mutation
         let genome_len = self.active.len() * GENES_PER_MODEL;

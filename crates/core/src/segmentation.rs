@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use scar_mcm::McmConfig;
 use scar_workloads::{DataType, Scenario};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
@@ -129,6 +130,11 @@ pub fn subproblem_key(
 /// (cost-quantile) cuts are always included, and the remainder is drawn
 /// uniformly at random from the cut lattice using `rng` (deterministic for
 /// a fixed seed).
+///
+/// The result holds the best candidate of *every* segment count
+/// (1..=`nodes`), then the next-best distinct candidates overall, up to
+/// `top_k − 1` extras, sorted by score (stable: generation order breaks
+/// ties).
 #[allow(clippy::too_many_arguments)]
 pub fn top_k_for_model(
     scenario: &Scenario,
@@ -146,9 +152,9 @@ pub fn top_k_for_model(
         return Vec::new();
     }
     let max_k = nodes.min(len);
-    let batch = scenario.models()[model].batch;
+    let scorer = CutScorer::new(scenario, mcm, expected, model, range);
 
-    let mut candidates: Vec<Vec<usize>> = Vec::new(); // cut-position sets
+    let mut pool = CutPool::new();
     let mut budget = enum_cap.max(1);
     for k in 1..=max_k {
         let slots = len - 1; // candidate cut positions: after layer 1..len-1
@@ -156,24 +162,28 @@ pub fn top_k_for_model(
         let count = binomial(slots, picks);
         if count <= budget as u128 {
             enumerate_combinations(slots, picks, &mut |cuts| {
-                candidates.push(cuts.to_vec());
+                pool.push(cuts, scorer.score(cuts));
             });
             budget = budget.saturating_sub(count as usize);
         } else {
             // sampled: balanced quantile cuts + uniform random draws
-            candidates.push(balanced_cuts(expected, model, range, k));
+            let balanced = balanced_cuts(expected, model, range, k);
+            pool.push(&balanced, scorer.score(&balanced));
             let draws = budget.clamp(1, 512);
             let mut seen = BTreeSet::new();
             let mut positions: Vec<usize> = (1..len).collect();
+            let mut cut = Vec::with_capacity(picks);
             for _ in 0..draws * 4 {
                 if seen.len() >= draws {
                     break;
                 }
                 positions.shuffle(rng);
-                let mut cut: Vec<usize> = positions[..picks].to_vec();
+                cut.clear();
+                cut.extend_from_slice(&positions[..picks]);
                 cut.sort_unstable();
-                if seen.insert(cut.clone()) {
-                    candidates.push(cut);
+                if !seen.contains(&cut) {
+                    seen.insert(cut.clone());
+                    pool.push(&cut, scorer.score(&cut));
                 }
             }
             budget = budget.saturating_sub(draws);
@@ -183,42 +193,123 @@ pub fn top_k_for_model(
         }
     }
 
-    let mut scored: Vec<SegCandidate> = candidates
-        .into_iter()
-        .map(|cuts| {
-            let segments = cuts_to_segments(model, range, &cuts);
-            let score = score_segmentation(scenario, mcm, expected, model, batch, &segments);
-            SegCandidate { segments, score }
-        })
-        .collect();
-    scored.sort_by(|a, b| a.score.partial_cmp(&b.score).unwrap());
-    scored.dedup_by(|a, b| a.segments == b.segments);
-
     // Keep segment-count diversity: the placement-agnostic score favors
     // deep pipelines, but on heterogeneous MCMs long chiplet paths are
     // forced through both dataflow classes — only the SCHED engine can see
     // which pipeline depth the package geometry supports. Return the best
     // candidate of *every* segment count (1..=max_k), then pad with the
     // next-best candidates overall up to `top_k` extras.
-    let mut best_per_k: std::collections::BTreeMap<usize, SegCandidate> =
-        std::collections::BTreeMap::new();
-    for c in &scored {
-        best_per_k
-            .entry(c.segments.len())
-            .or_insert_with(|| c.clone());
-    }
-    let mut picked: Vec<SegCandidate> = best_per_k.into_values().collect();
+    let mut picked = pool.best_per_count(max_k);
     let cap = picked.len() + top_k.saturating_sub(1);
-    for c in scored {
-        if picked.len() >= cap {
-            break;
-        }
-        if !picked.contains(&c) {
-            picked.push(c);
+    pool.pad(&mut picked, cap);
+    picked.sort_by(|&a, &b| pool.scores[a].total_cmp(&pool.scores[b]));
+    picked
+        .into_iter()
+        .map(|i| SegCandidate {
+            segments: cuts_to_segments(model, range, pool.cuts(i)),
+            score: pool.scores[i],
+        })
+        .collect()
+}
+
+/// Every scored cut set of one [`top_k_for_model`] call, in generation
+/// order: the cuts of all candidates in one flat arena, and one score per
+/// candidate. A candidate is named by its generation index, which breaks
+/// score ties exactly as a stable sort in generation order would.
+struct CutPool {
+    /// Concatenated cut positions; candidate `i` owns
+    /// `cuts[bounds[i]..bounds[i + 1]]`.
+    cuts: Vec<usize>,
+    bounds: Vec<usize>,
+    scores: Vec<f64>,
+}
+
+/// A candidate's place in score order: its score, then its generation
+/// index (a total order, as generation indices are distinct).
+fn by_score(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+impl CutPool {
+    fn new() -> Self {
+        Self {
+            cuts: Vec::new(),
+            bounds: vec![0],
+            scores: Vec::new(),
         }
     }
-    picked.sort_by(|a, b| a.score.partial_cmp(&b.score).unwrap());
-    picked
+
+    fn push(&mut self, cuts: &[usize], score: f64) {
+        self.cuts.extend_from_slice(cuts);
+        self.bounds.push(self.cuts.len());
+        self.scores.push(score);
+    }
+
+    fn cuts(&self, i: usize) -> &[usize] {
+        &self.cuts[self.bounds[i]..self.bounds[i + 1]]
+    }
+
+    /// The first candidate of each segment count in score order, by
+    /// ascending count — one scan in generation order.
+    fn best_per_count(&self, max_k: usize) -> Vec<usize> {
+        let mut best: Vec<Option<usize>> = vec![None; max_k + 1];
+        for (i, score) in self.scores.iter().enumerate() {
+            let slot = &mut best[self.cuts(i).len() + 1];
+            if slot.is_none_or(|b| score.total_cmp(&self.scores[b]).is_lt()) {
+                *slot = Some(i);
+            }
+        }
+        best.into_iter().flatten().collect()
+    }
+
+    /// Appends to `picked`, until it holds `cap` entries, the candidates
+    /// in score order that are neither a repeat of the previous distinct
+    /// cut set nor already picked (same cuts, equal score).
+    ///
+    /// Only a prefix of the score order is ever read, so it is selected
+    /// (`select_nth_unstable`) and sorted alone; the whole list is sorted
+    /// only if that prefix runs dry before `cap` is reached.
+    fn pad(&self, picked: &mut Vec<usize>, cap: usize) {
+        if picked.len() >= cap {
+            return;
+        }
+        let mut keys: Vec<(f64, usize)> = self.scores.iter().copied().zip(0..).collect();
+        // each picked entry can be skipped once; one more than that leaves
+        // room for a repeat without falling back
+        let prefix = (cap + 1).min(keys.len());
+        if prefix < keys.len() {
+            keys.select_nth_unstable_by(prefix - 1, by_score);
+        }
+        keys[..prefix].sort_unstable_by(by_score);
+        let base = picked.len();
+        if !self.pad_from(picked, cap, &keys[..prefix]) && prefix < keys.len() {
+            picked.truncate(base);
+            keys.sort_unstable_by(by_score);
+            self.pad_from(picked, cap, &keys);
+        }
+    }
+
+    /// Walks `sorted` for [`CutPool::pad`]; false when it ran out before
+    /// `picked` reached `cap`.
+    fn pad_from(&self, picked: &mut Vec<usize>, cap: usize, sorted: &[(f64, usize)]) -> bool {
+        let mut last: Option<usize> = None;
+        for &(_, i) in sorted {
+            if picked.len() >= cap {
+                return true;
+            }
+            if last.is_some_and(|r| self.cuts(r) == self.cuts(i)) {
+                continue;
+            }
+            last = Some(i);
+            let dup = picked
+                .iter()
+                .any(|&p| self.cuts(p) == self.cuts(i) && self.scores[p] == self.scores[i]);
+            if !dup {
+                picked.push(i);
+            }
+        }
+        picked.len() >= cap
+    }
 }
 
 /// Converts relative cut positions (1-based offsets into the range) to
@@ -235,32 +326,67 @@ fn cuts_to_segments(model: usize, range: &Range<usize>, cuts: &[usize]) -> Vec<S
     out
 }
 
-/// The placement-agnostic score: the inter-chiplet pipeline latency of the
-/// segmentation under expected (Equation 1) per-layer costs at batch 1,
-/// `Σ_k L_k + (b − 1)·max_k L_k`, plus the NoP cost of the boundary
-/// activations. Balanced segmentations with small cut tensors win.
-fn score_segmentation(
-    scenario: &Scenario,
-    mcm: &McmConfig,
-    expected: &ExpectedCosts,
+/// The placement-agnostic score of a cut set: the inter-chiplet pipeline
+/// latency of its segments under expected (Equation 1) per-layer costs at
+/// batch 1, `Σ_k L_k + (b − 1)·max_k L_k`, plus the NoP cost of the
+/// boundary activations. Balanced segmentations with small cut tensors win.
+struct CutScorer<'a> {
+    expected: &'a ExpectedCosts,
     model: usize,
+    range: Range<usize>,
     batch: u64,
-    segments: &[Segment],
-) -> f64 {
-    let layers = scenario.models()[model].model.layers();
-    let mut sum = 0.0f64;
-    let mut max = 0.0f64;
-    let mut comm = 0.0f64;
-    for (i, s) in segments.iter().enumerate() {
-        let l = expected.range_latency_b1(model, &s.layer_range());
-        sum += l;
-        max = max.max(l);
-        if i + 1 < segments.len() {
-            let boundary_bytes = layers[s.end - 1].output_bytes(DataType::Int8);
-            comm += boundary_bytes as f64 / mcm.nop.bw_bytes_per_s + mcm.nop.hop_latency_s;
+    /// NoP cost of the activation crossing a cut at each relative
+    /// position (index 0 unused).
+    boundary: Vec<f64>,
+}
+
+impl<'a> CutScorer<'a> {
+    fn new(
+        scenario: &Scenario,
+        mcm: &McmConfig,
+        expected: &'a ExpectedCosts,
+        model: usize,
+        range: &Range<usize>,
+    ) -> Self {
+        let layers = scenario.models()[model].model.layers();
+        let boundary = (0..range.len())
+            .map(|c| {
+                if c == 0 {
+                    return 0.0;
+                }
+                let bytes = layers[range.start + c - 1].output_bytes(DataType::Int8);
+                bytes as f64 / mcm.nop.bw_bytes_per_s + mcm.nop.hop_latency_s
+            })
+            .collect();
+        Self {
+            expected,
+            model,
+            range: range.clone(),
+            batch: scenario.models()[model].batch,
+            boundary,
         }
     }
-    sum + (batch.saturating_sub(1)) as f64 * max + batch as f64 * comm
+
+    fn score(&self, cuts: &[usize]) -> f64 {
+        let mut sum = 0.0f64;
+        let mut max = 0.0f64;
+        let mut comm = 0.0f64;
+        let mut start = self.range.start;
+        for &c in cuts {
+            let end = self.range.start + c;
+            let l = self.expected.range_latency_b1(self.model, &(start..end));
+            sum += l;
+            max = max.max(l);
+            comm += self.boundary[c];
+            start = end;
+        }
+        let l = self
+            .expected
+            .range_latency_b1(self.model, &(start..self.range.end));
+        sum += l;
+        max = max.max(l);
+        sum + (self.batch.saturating_sub(1)) as f64 * max + self.batch as f64 * comm
+    }
 }
 
 /// Equal-expected-cost quantile cuts: the balanced segmentation heuristic
@@ -421,13 +547,275 @@ mod tests {
         // pipeline scoring must prefer even splits over a lopsided split
         let (sc, mcm, e) = setup();
         let model = 1; // BERT-L, batch 3
-        let range = 0..60;
-        let balanced = cuts_to_segments(model, &range, &[30]);
-        let lopsided = cuts_to_segments(model, &range, &[1]);
-        let batch = sc.models()[model].batch;
-        let sb = score_segmentation(&sc, &mcm, &e, model, batch, &balanced);
-        let sl = score_segmentation(&sc, &mcm, &e, model, batch, &lopsided);
+        let scorer = CutScorer::new(&sc, &mcm, &e, model, &(0..60));
+        let sb = scorer.score(&[30]);
+        let sl = scorer.score(&[1]);
         assert!(sb < sl, "balanced {sb} should beat lopsided {sl}");
+    }
+
+    #[test]
+    fn cut_scores_match_the_segment_scores() {
+        let (sc, mcm, e) = setup();
+        let range = 7..52;
+        let scorer = CutScorer::new(&sc, &mcm, &e, 1, &range);
+        for cuts in [&[][..], &[1], &[44], &[3, 20, 21, 40]] {
+            let segments = cuts_to_segments(1, &range, cuts);
+            let old =
+                reference::score_segmentation(&sc, &mcm, &e, 1, sc.models()[1].batch, &segments);
+            assert_eq!(scorer.score(cuts).to_bits(), old.to_bits(), "cuts {cuts:?}");
+        }
+    }
+
+    /// The streaming top-k against the original materialize-sort-dedup
+    /// algorithm: seeded draws of model, range, node count, top-k and
+    /// enumeration cap over every Table III scenario on every 3×3 mesh.
+    /// Segments, score bits and the sampling RNG's position must agree.
+    #[test]
+    fn top_k_matches_the_materializing_reference() {
+        use rand::Rng;
+        use scar_mcm::templates::all_3x3;
+        let session = crate::Session::new();
+        let mut draw = StdRng::seed_from_u64(0x7E57);
+        let mut cases = 0;
+        for id in 1..=10 {
+            let sc = Scenario::by_id(id);
+            let profile = if id <= 5 {
+                Profile::Datacenter
+            } else {
+                Profile::ArVr
+            };
+            for mcm in all_3x3(profile) {
+                let e = ExpectedCosts::compute(&sc, &mcm, session.database());
+                for _ in 0..24 {
+                    let model = draw.gen_range(0..sc.models().len());
+                    let n = sc.models()[model].model.num_layers();
+                    let start = draw.gen_range(0..n);
+                    let end = draw.gen_range(start..n + 1);
+                    let nodes = draw.gen_range(0..10);
+                    let top_k = draw.gen_range(0..7);
+                    let cap = [1, 40, 500, 3_000, 20_000][draw.gen_range(0..5)];
+                    let seed = draw.gen();
+                    let mut rng_new = StdRng::seed_from_u64(seed);
+                    let mut rng_old = StdRng::seed_from_u64(seed);
+                    let range = start..end;
+                    let new = top_k_for_model(
+                        &sc,
+                        &mcm,
+                        &e,
+                        model,
+                        &range,
+                        nodes,
+                        top_k,
+                        cap,
+                        &mut rng_new,
+                    );
+                    let old = reference::top_k_for_model(
+                        &sc,
+                        &mcm,
+                        &e,
+                        model,
+                        &range,
+                        nodes,
+                        top_k,
+                        cap,
+                        &mut rng_old,
+                    );
+                    let what = format!(
+                        "Sc{id} {} m{model} {range:?} n{nodes} k{top_k} cap{cap}",
+                        mcm.name()
+                    );
+                    assert_eq!(new.len(), old.len(), "{what}");
+                    for (a, b) in new.iter().zip(&old) {
+                        assert_eq!(a.segments, b.segments, "{what}");
+                        assert_eq!(a.score.to_bits(), b.score.to_bits(), "{what}");
+                    }
+                    assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>(), "{what}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 960);
+    }
+
+    /// Padding with many repeats at the head of the score order runs the
+    /// selected prefix dry and falls back to the full sort; the picks must
+    /// still be the reference's.
+    #[test]
+    fn padding_past_repeated_heads_matches_the_reference() {
+        let cands: Vec<(Vec<usize>, f64)> = vec![
+            (vec![3], 1.0),
+            (vec![3], 1.0),
+            (vec![3], 1.0),
+            (vec![], 2.0),
+            (vec![3], 1.0),
+            (vec![5], 1.0),
+            (vec![2, 4], 0.5),
+            (vec![2, 4], 0.5),
+            (vec![2, 4], 0.5),
+            (vec![1, 4], 0.5),
+            (vec![4], 3.0),
+            (vec![6], 0.75),
+            (vec![2], f64::INFINITY),
+            (vec![7], 1.0),
+        ];
+        for top_k in 0..=cands.len() + 1 {
+            let mut pool = CutPool::new();
+            for (cuts, score) in &cands {
+                pool.push(cuts, *score);
+            }
+            let mut picked = pool.best_per_count(3);
+            let cap = picked.len() + top_k.saturating_sub(1);
+            pool.pad(&mut picked, cap);
+            picked.sort_by(|&a, &b| pool.scores[a].total_cmp(&pool.scores[b]));
+            let got: Vec<(Vec<usize>, f64)> = picked
+                .iter()
+                .map(|&i| (pool.cuts(i).to_vec(), pool.scores[i]))
+                .collect();
+            assert_eq!(got, reference::pick(cands.clone(), top_k), "top_k {top_k}");
+        }
+    }
+
+    /// The original top-k, kept as the reference the streaming version
+    /// must reproduce: materialize every candidate's segments, sort the
+    /// whole list, dedup, then pick. Its comparators use `total_cmp`,
+    /// which orders finite scores exactly as its original panicking
+    /// comparator did.
+    mod reference {
+        use super::super::*;
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn top_k_for_model(
+            scenario: &Scenario,
+            mcm: &McmConfig,
+            expected: &ExpectedCosts,
+            model: usize,
+            range: &Range<usize>,
+            nodes: usize,
+            top_k: usize,
+            enum_cap: usize,
+            rng: &mut StdRng,
+        ) -> Vec<SegCandidate> {
+            let len = range.len();
+            if len == 0 || nodes == 0 {
+                return Vec::new();
+            }
+            let max_k = nodes.min(len);
+            let batch = scenario.models()[model].batch;
+
+            let mut candidates: Vec<Vec<usize>> = Vec::new();
+            let mut budget = enum_cap.max(1);
+            for k in 1..=max_k {
+                let slots = len - 1;
+                let picks = k - 1;
+                let count = binomial(slots, picks);
+                if count <= budget as u128 {
+                    enumerate_combinations(slots, picks, &mut |cuts| {
+                        candidates.push(cuts.to_vec());
+                    });
+                    budget = budget.saturating_sub(count as usize);
+                } else {
+                    candidates.push(balanced_cuts(expected, model, range, k));
+                    let draws = budget.clamp(1, 512);
+                    let mut seen = BTreeSet::new();
+                    let mut positions: Vec<usize> = (1..len).collect();
+                    for _ in 0..draws * 4 {
+                        if seen.len() >= draws {
+                            break;
+                        }
+                        positions.shuffle(rng);
+                        let mut cut: Vec<usize> = positions[..picks].to_vec();
+                        cut.sort_unstable();
+                        if seen.insert(cut.clone()) {
+                            candidates.push(cut);
+                        }
+                    }
+                    budget = budget.saturating_sub(draws);
+                }
+                if budget == 0 {
+                    break;
+                }
+            }
+
+            let scored: Vec<SegCandidate> = candidates
+                .into_iter()
+                .map(|cuts| {
+                    let segments = cuts_to_segments(model, range, &cuts);
+                    let score =
+                        score_segmentation(scenario, mcm, expected, model, batch, &segments);
+                    SegCandidate { segments, score }
+                })
+                .collect();
+            select(scored, top_k)
+        }
+
+        /// The original selection over scored candidates in generation
+        /// order.
+        fn select(mut scored: Vec<SegCandidate>, top_k: usize) -> Vec<SegCandidate> {
+            scored.sort_by(|a, b| a.score.total_cmp(&b.score));
+            scored.dedup_by(|a, b| a.segments == b.segments);
+            let mut best_per_k: std::collections::BTreeMap<usize, SegCandidate> =
+                std::collections::BTreeMap::new();
+            for c in &scored {
+                best_per_k
+                    .entry(c.segments.len())
+                    .or_insert_with(|| c.clone());
+            }
+            let mut picked: Vec<SegCandidate> = best_per_k.into_values().collect();
+            let cap = picked.len() + top_k.saturating_sub(1);
+            for c in scored {
+                if picked.len() >= cap {
+                    break;
+                }
+                if !picked.contains(&c) {
+                    picked.push(c);
+                }
+            }
+            picked.sort_by(|a, b| a.score.total_cmp(&b.score));
+            picked
+        }
+
+        /// [`select`] over bare `(cuts, score)` pairs of a range `0..8`.
+        pub fn pick(cands: Vec<(Vec<usize>, f64)>, top_k: usize) -> Vec<(Vec<usize>, f64)> {
+            let range = 0..8;
+            let scored = cands
+                .into_iter()
+                .map(|(cuts, score)| SegCandidate {
+                    segments: cuts_to_segments(0, &range, &cuts),
+                    score,
+                })
+                .collect();
+            select(scored, top_k)
+                .into_iter()
+                .map(|c| {
+                    let cuts = c.segments[1..].iter().map(|s| s.start).collect();
+                    (cuts, c.score)
+                })
+                .collect()
+        }
+
+        pub fn score_segmentation(
+            scenario: &Scenario,
+            mcm: &McmConfig,
+            expected: &ExpectedCosts,
+            model: usize,
+            batch: u64,
+            segments: &[Segment],
+        ) -> f64 {
+            let layers = scenario.models()[model].model.layers();
+            let mut sum = 0.0f64;
+            let mut max = 0.0f64;
+            let mut comm = 0.0f64;
+            for (i, s) in segments.iter().enumerate() {
+                let l = expected.range_latency_b1(model, &s.layer_range());
+                sum += l;
+                max = max.max(l);
+                if i + 1 < segments.len() {
+                    let boundary_bytes = layers[s.end - 1].output_bytes(DataType::Int8);
+                    comm += boundary_bytes as f64 / mcm.nop.bw_bytes_per_s + mcm.nop.hop_latency_s;
+                }
+            }
+            sum + (batch.saturating_sub(1)) as f64 * max + batch as f64 * comm
+        }
     }
 
     #[test]

@@ -51,6 +51,66 @@ pub fn enumerate_placements(
     max_placements: usize,
     rng: &mut StdRng,
 ) -> Vec<Placement> {
+    let set = placement_set(
+        mcm,
+        seg_counts,
+        prefs,
+        max_root_perms,
+        max_paths_per_model,
+        max_placements,
+        rng,
+    );
+    (0..set.len())
+        .map(|j| {
+            (0..seg_counts.len())
+                .map(|i| set.path(j, i).to_vec())
+                .collect()
+        })
+        .collect()
+}
+
+/// Placements stored flat: each is the concatenation of its models' paths
+/// (one record of `Σ seg_counts` chiplets), in enumeration order.
+#[derive(Debug, Default)]
+pub(crate) struct PlacementSet {
+    /// Model `i`'s path is `offsets[i]..offsets[i + 1]` within a record.
+    offsets: Vec<usize>,
+    chiplets: Vec<ChipletId>,
+}
+
+impl PlacementSet {
+    fn stride(&self) -> usize {
+        self.offsets.last().copied().unwrap_or(0)
+    }
+
+    /// Number of placements.
+    pub(crate) fn len(&self) -> usize {
+        self.chiplets.len().checked_div(self.stride()).unwrap_or(0)
+    }
+
+    /// True when no placement was found.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.chiplets.is_empty()
+    }
+
+    /// Model `i`'s chiplet path in placement `j`.
+    pub(crate) fn path(&self, j: usize, i: usize) -> &[ChipletId] {
+        let base = j * self.stride();
+        &self.chiplets[base + self.offsets[i]..base + self.offsets[i + 1]]
+    }
+}
+
+/// [`enumerate_placements`] into a flat [`PlacementSet`]: the same
+/// placements in the same order, drawing the same RNG values.
+pub(crate) fn placement_set(
+    mcm: &McmConfig,
+    seg_counts: &[usize],
+    prefs: &[Vec<ChipletId>],
+    max_root_perms: usize,
+    max_paths_per_model: usize,
+    max_placements: usize,
+    rng: &mut StdRng,
+) -> PlacementSet {
     assert_eq!(
         prefs.len(),
         seg_counts.len(),
@@ -58,8 +118,13 @@ pub fn enumerate_placements(
     );
     let c = mcm.num_chiplets();
     let m = seg_counts.len();
+    let mut set = PlacementSet::default();
     if m == 0 || seg_counts.iter().sum::<usize>() > c || seg_counts.contains(&0) {
-        return Vec::new();
+        return set;
+    }
+    set.offsets.push(0);
+    for &n in seg_counts {
+        set.offsets.push(set.stride() + n);
     }
 
     // rank[i][chiplet] = position of chiplet in model i's preference order
@@ -75,27 +140,25 @@ pub fn enumerate_placements(
         .collect();
 
     let roots = root_tuples(c, m, prefs, max_root_perms, rng);
-    let mut out = Vec::new();
+    let mut walk = PlacementWalk {
+        walker: Walker::new(mcm),
+        seg_counts,
+        ranks: &ranks,
+        max_paths_per_model,
+        max_placements,
+        found: 0,
+        acc: Vec::with_capacity(set.stride()),
+        model_paths: vec![Vec::new(); m],
+        out: Vec::new(),
+    };
     for tuple in roots {
-        let mut used = vec![false; c];
-        let mut acc: Placement = Vec::with_capacity(m);
-        assign(
-            mcm,
-            seg_counts,
-            &ranks,
-            &tuple,
-            0,
-            &mut used,
-            &mut acc,
-            max_paths_per_model,
-            max_placements,
-            &mut out,
-        );
-        if out.len() >= max_placements {
+        walk.assign(&tuple, 0);
+        if walk.found >= max_placements {
             break;
         }
     }
-    out
+    set.chiplets = walk.out;
+    set
 }
 
 /// Root tuples: preference-lexicographic enumeration first (each model
@@ -168,64 +231,67 @@ fn root_tuples(
     out
 }
 
-/// Recursively assigns one model's path, then the rest (the "constrained
-/// on the preceding subtree's prior visited nodes" traversal).
-#[allow(clippy::too_many_arguments)]
-fn assign(
-    mcm: &McmConfig,
-    seg_counts: &[usize],
-    ranks: &[Vec<usize>],
-    roots: &[ChipletId],
-    model: usize,
-    used: &mut Vec<bool>,
-    acc: &mut Placement,
+/// The placement walk of one [`placement_set`] call: for each root tuple,
+/// model `i`'s candidate paths from its root (avoiding chiplets earlier
+/// models took), then recursively the rest of the models under each path
+/// — the "constrained on the preceding subtree's prior visited nodes"
+/// traversal. Paths and placements go to flat buffers reused across trees.
+struct PlacementWalk<'a> {
+    walker: Walker<'a>,
+    seg_counts: &'a [usize],
+    ranks: &'a [Vec<usize>],
     max_paths_per_model: usize,
     max_placements: usize,
-    out: &mut Vec<Placement>,
-) {
-    if out.len() >= max_placements {
-        return;
-    }
-    if model == seg_counts.len() {
-        out.push(acc.clone());
-        return;
-    }
-    let root = roots[model];
-    if used[root] {
-        return;
-    }
-    let paths = dfs_paths_ranked(
-        mcm,
-        root,
-        seg_counts[model],
-        used,
-        max_paths_per_model,
-        Some(&ranks[model]),
-    );
-    for path in paths {
-        for &n in &path {
-            used[n] = true;
-        }
-        acc.push(path.clone());
-        assign(
-            mcm,
-            seg_counts,
-            ranks,
-            roots,
-            model + 1,
-            used,
-            acc,
-            max_paths_per_model,
-            max_placements,
-            out,
-        );
-        acc.pop();
-        for &n in &path {
-            used[n] = false;
-        }
-        if out.len() >= max_placements {
+    /// Placements written to `out` so far.
+    found: usize,
+    /// The partial placement: the paths of models `0..i`, concatenated.
+    acc: Vec<ChipletId>,
+    /// Per model: its candidate paths under the current partial placement,
+    /// concatenated (each `seg_counts[i]` long).
+    model_paths: Vec<Vec<ChipletId>>,
+    /// The placements found, concatenated.
+    out: Vec<ChipletId>,
+}
+
+impl PlacementWalk<'_> {
+    fn assign(&mut self, roots: &[ChipletId], model: usize) {
+        if self.found >= self.max_placements {
             return;
         }
+        if model == self.seg_counts.len() {
+            self.out.extend_from_slice(&self.acc);
+            self.found += 1;
+            return;
+        }
+        let root = roots[model];
+        if self.walker.used[root] {
+            return;
+        }
+        let depth = self.seg_counts[model];
+        let mut paths = std::mem::take(&mut self.model_paths[model]);
+        paths.clear();
+        self.walker.paths(
+            root,
+            depth,
+            self.max_paths_per_model,
+            Some(&self.ranks[model]),
+            &mut paths,
+        );
+        for path in paths.chunks_exact(depth) {
+            for &n in path {
+                self.walker.used[n] = true;
+            }
+            self.acc.extend_from_slice(path);
+            self.assign(roots, model + 1);
+            self.acc.truncate(self.acc.len() - depth);
+            for &n in path {
+                self.walker.used[n] = false;
+            }
+            if self.found >= self.max_placements {
+                break;
+            }
+        }
+        self.model_paths[model] = paths;
     }
 }
 
@@ -251,64 +317,104 @@ pub fn dfs_paths_ranked(
     cap: usize,
     rank: Option<&[usize]>,
 ) -> Vec<Vec<ChipletId>> {
-    let mut out = Vec::new();
-    if used[root] || depth == 0 {
-        return out;
+    let mut walker = Walker::new(mcm);
+    for (w, &u) in walker.used.iter_mut().zip(used) {
+        *w = u;
     }
-    let mut path = vec![root];
-    let mut on_path = vec![false; mcm.num_chiplets()];
-    on_path[root] = true;
-    dfs(
-        mcm,
-        depth,
-        used,
-        cap,
-        rank,
-        &mut path,
-        &mut on_path,
-        &mut out,
-    );
-    out
+    let mut flat = Vec::new();
+    walker.paths(root, depth, cap, rank, &mut flat);
+    flat.chunks_exact(depth.max(1)).map(<[_]>::to_vec).collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    mcm: &McmConfig,
-    depth: usize,
-    used: &[bool],
-    cap: usize,
-    rank: Option<&[usize]>,
-    path: &mut Vec<ChipletId>,
-    on_path: &mut Vec<bool>,
-    out: &mut Vec<Vec<ChipletId>>,
-) {
-    if out.len() >= cap {
-        return;
+/// The constrained DFS over the chiplet adjacency graph, with its masks,
+/// current path and per-depth neighbour lists kept across calls so a walk
+/// allocates nothing per node.
+struct Walker<'a> {
+    mcm: &'a McmConfig,
+    /// Chiplets taken by other models' paths.
+    used: Vec<bool>,
+    on_path: Vec<bool>,
+    path: Vec<ChipletId>,
+    /// `neighbors[d]`: the unexplored neighbours of `path[d]`, in
+    /// exploration order.
+    neighbors: Vec<Vec<ChipletId>>,
+}
+
+impl<'a> Walker<'a> {
+    fn new(mcm: &'a McmConfig) -> Self {
+        let c = mcm.num_chiplets();
+        Self {
+            mcm,
+            used: vec![false; c],
+            on_path: vec![false; c],
+            path: Vec::with_capacity(c),
+            neighbors: vec![Vec::new(); c],
+        }
     }
-    if path.len() == depth {
-        out.push(path.clone());
-        return;
-    }
-    let last = *path.last().unwrap();
-    let mut neighbors: Vec<ChipletId> = mcm
-        .topology()
-        .neighbors(last)
-        .iter()
-        .copied()
-        .filter(|&n| !used[n] && !on_path[n])
-        .collect();
-    if let Some(r) = rank {
-        neighbors.sort_by_key(|&n| r[n]);
-    }
-    for next in neighbors {
-        path.push(next);
-        on_path[next] = true;
-        dfs(mcm, depth, used, cap, rank, path, on_path, out);
-        on_path[next] = false;
-        path.pop();
-        if out.len() >= cap {
+
+    /// Appends to `out`, concatenated, up to `cap` simple paths of `depth`
+    /// nodes from `root` that avoid `used`, exploring neighbours in
+    /// topology order, stably re-ordered by `rank` when given.
+    fn paths(
+        &mut self,
+        root: ChipletId,
+        depth: usize,
+        cap: usize,
+        rank: Option<&[usize]>,
+        out: &mut Vec<ChipletId>,
+    ) {
+        if self.used[root] || depth == 0 {
             return;
         }
+        self.path.push(root);
+        self.on_path[root] = true;
+        let mut found = 0;
+        self.extend(depth, cap, rank, out, &mut found);
+        self.on_path[root] = false;
+        self.path.clear();
+    }
+
+    fn extend(
+        &mut self,
+        depth: usize,
+        cap: usize,
+        rank: Option<&[usize]>,
+        out: &mut Vec<ChipletId>,
+        found: &mut usize,
+    ) {
+        if *found >= cap {
+            return;
+        }
+        if self.path.len() == depth {
+            out.extend_from_slice(&self.path);
+            *found += 1;
+            return;
+        }
+        let level = self.path.len() - 1;
+        let mut next = std::mem::take(&mut self.neighbors[level]);
+        next.clear();
+        next.extend(
+            self.mcm
+                .topology()
+                .neighbors(self.path[level])
+                .iter()
+                .copied()
+                .filter(|&n| !self.used[n] && !self.on_path[n]),
+        );
+        if let Some(r) = rank {
+            next.sort_by_key(|&n| r[n]);
+        }
+        for &n in &next {
+            self.path.push(n);
+            self.on_path[n] = true;
+            self.extend(depth, cap, rank, out, found);
+            self.on_path[n] = false;
+            self.path.pop();
+            if *found >= cap {
+                break;
+            }
+        }
+        self.neighbors[level] = next;
     }
 }
 
@@ -456,5 +562,252 @@ mod tests {
     fn pref_count_mismatch_panics() {
         let m = mcm();
         let _ = enumerate_placements(&m, &[1, 1], &id_prefs(1), 8, 4, 10, &mut rng());
+    }
+
+    /// The flat walk against the original recursive, allocating one:
+    /// seeded draws of segment counts, preference orders and budgets on
+    /// 3×3 and 6×6 meshes. Placements and the RNG position must agree.
+    #[test]
+    fn placements_match_the_recursive_reference() {
+        use rand::Rng;
+        let meshes = [
+            mcm(),
+            simba_6x6(Profile::Datacenter, Dataflow::NvdlaLike),
+            scar_mcm::templates::het_cross_6x6(Profile::ArVr),
+        ];
+        let mut draw = StdRng::seed_from_u64(0x7EE);
+        let mut cases = 0;
+        for m in &meshes {
+            let c = m.num_chiplets();
+            for _ in 0..200 {
+                let models = draw.gen_range(1..5);
+                let seg_counts: Vec<usize> = (0..models).map(|_| draw.gen_range(0..6)).collect();
+                let prefs: Vec<Vec<ChipletId>> = (0..models)
+                    .map(|_| {
+                        let mut p: Vec<ChipletId> = (0..c).collect();
+                        p.shuffle(&mut draw);
+                        p.truncate(draw.gen_range(1..c + 1));
+                        p
+                    })
+                    .collect();
+                let roots = draw.gen_range(1..64);
+                let paths = draw.gen_range(1..24);
+                let cap = draw.gen_range(1..2_000);
+                let seed = draw.gen();
+                let mut rng_new = StdRng::seed_from_u64(seed);
+                let mut rng_old = StdRng::seed_from_u64(seed);
+                let new =
+                    enumerate_placements(m, &seg_counts, &prefs, roots, paths, cap, &mut rng_new);
+                let old = reference::enumerate_placements(
+                    m,
+                    &seg_counts,
+                    &prefs,
+                    roots,
+                    paths,
+                    cap,
+                    &mut rng_old,
+                );
+                assert_eq!(
+                    new,
+                    old,
+                    "{} {seg_counts:?} {roots} {paths} {cap}",
+                    m.name()
+                );
+                assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
+                cases += 1;
+            }
+            for root in 0..c {
+                let mut used = vec![false; c];
+                for u in used.iter_mut() {
+                    *u = draw.gen_range(0..4) == 0;
+                }
+                let rank: Vec<usize> = (0..c).map(|_| draw.gen_range(0..c)).collect();
+                for depth in 0..6 {
+                    assert_eq!(
+                        dfs_paths_ranked(m, root, depth, &used, 16, Some(&rank)),
+                        reference::dfs_paths_ranked(m, root, depth, &used, 16, Some(&rank)),
+                    );
+                    assert_eq!(
+                        dfs_paths(m, root, depth, &used, 16),
+                        reference::dfs_paths_ranked(m, root, depth, &used, 16, None),
+                    );
+                }
+            }
+        }
+        assert_eq!(cases, 600);
+    }
+
+    /// The original placement walk, kept as the reference the flat walk
+    /// must reproduce: a per-model recursion collecting each subtree's
+    /// paths as owned vectors from a DFS that allocates per node.
+    mod reference {
+        use super::super::*;
+
+        pub fn enumerate_placements(
+            mcm: &McmConfig,
+            seg_counts: &[usize],
+            prefs: &[Vec<ChipletId>],
+            max_root_perms: usize,
+            max_paths_per_model: usize,
+            max_placements: usize,
+            rng: &mut StdRng,
+        ) -> Vec<Placement> {
+            let c = mcm.num_chiplets();
+            let m = seg_counts.len();
+            if m == 0 || seg_counts.iter().sum::<usize>() > c || seg_counts.contains(&0) {
+                return Vec::new();
+            }
+            let ranks: Vec<Vec<usize>> = prefs
+                .iter()
+                .map(|p| {
+                    let mut r = vec![usize::MAX; c];
+                    for (pos, &id) in p.iter().enumerate() {
+                        r[id] = pos;
+                    }
+                    r
+                })
+                .collect();
+            let roots = root_tuples(c, m, prefs, max_root_perms, rng);
+            let mut out = Vec::new();
+            for tuple in roots {
+                let mut used = vec![false; c];
+                let mut acc: Placement = Vec::with_capacity(m);
+                let budgets = (max_paths_per_model, max_placements);
+                assign(
+                    mcm, seg_counts, &ranks, &tuple, 0, &mut used, &mut acc, budgets, &mut out,
+                );
+                if out.len() >= max_placements {
+                    break;
+                }
+            }
+            out
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn assign(
+            mcm: &McmConfig,
+            seg_counts: &[usize],
+            ranks: &[Vec<usize>],
+            roots: &[ChipletId],
+            model: usize,
+            used: &mut Vec<bool>,
+            acc: &mut Placement,
+            (max_paths_per_model, max_placements): (usize, usize),
+            out: &mut Vec<Placement>,
+        ) {
+            if out.len() >= max_placements {
+                return;
+            }
+            if model == seg_counts.len() {
+                out.push(acc.clone());
+                return;
+            }
+            let root = roots[model];
+            if used[root] {
+                return;
+            }
+            let paths = dfs_paths_ranked(
+                mcm,
+                root,
+                seg_counts[model],
+                used,
+                max_paths_per_model,
+                Some(&ranks[model]),
+            );
+            for path in paths {
+                for &n in &path {
+                    used[n] = true;
+                }
+                acc.push(path.clone());
+                let budgets = (max_paths_per_model, max_placements);
+                assign(
+                    mcm,
+                    seg_counts,
+                    ranks,
+                    roots,
+                    model + 1,
+                    used,
+                    acc,
+                    budgets,
+                    out,
+                );
+                acc.pop();
+                for &n in &path {
+                    used[n] = false;
+                }
+                if out.len() >= max_placements {
+                    return;
+                }
+            }
+        }
+
+        pub fn dfs_paths_ranked(
+            mcm: &McmConfig,
+            root: ChipletId,
+            depth: usize,
+            used: &[bool],
+            cap: usize,
+            rank: Option<&[usize]>,
+        ) -> Vec<Vec<ChipletId>> {
+            let mut out = Vec::new();
+            if used[root] || depth == 0 {
+                return out;
+            }
+            let mut path = vec![root];
+            let mut on_path = vec![false; mcm.num_chiplets()];
+            on_path[root] = true;
+            dfs(
+                mcm,
+                depth,
+                used,
+                cap,
+                rank,
+                &mut path,
+                &mut on_path,
+                &mut out,
+            );
+            out
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn dfs(
+            mcm: &McmConfig,
+            depth: usize,
+            used: &[bool],
+            cap: usize,
+            rank: Option<&[usize]>,
+            path: &mut Vec<ChipletId>,
+            on_path: &mut Vec<bool>,
+            out: &mut Vec<Vec<ChipletId>>,
+        ) {
+            if out.len() >= cap {
+                return;
+            }
+            if path.len() == depth {
+                out.push(path.clone());
+                return;
+            }
+            let last = *path.last().unwrap();
+            let mut neighbors: Vec<ChipletId> = mcm
+                .topology()
+                .neighbors(last)
+                .iter()
+                .copied()
+                .filter(|&n| !used[n] && !on_path[n])
+                .collect();
+            if let Some(r) = rank {
+                neighbors.sort_by_key(|&n| r[n]);
+            }
+            for next in neighbors {
+                path.push(next);
+                on_path[next] = true;
+                dfs(mcm, depth, used, cap, rank, path, on_path, out);
+                on_path[next] = false;
+                path.pop();
+                if out.len() >= cap {
+                    return;
+                }
+            }
+        }
     }
 }

@@ -26,7 +26,7 @@ impl LatencySummary {
     ///
     /// NaN entries are filtered out before summarizing rather than
     /// panicking the whole serving report (the pre-fix implementation
-    /// sorted with `partial_cmp().expect(..)`, so a single NaN window
+    /// sorted with a comparator that panicked on NaN, so a single NaN window
     /// latency — e.g. from a degenerate cost-model input — took down the
     /// report for every healthy request). Non-NaN infinities are kept:
     /// they sort last via `total_cmp` and legitimately dominate the tail
@@ -288,7 +288,7 @@ mod tests {
     }
 
     /// The degenerate inputs that used to panic the whole serving report
-    /// (`partial_cmp().expect("latencies are finite")`): NaN entries are
+    /// (its sort expected finite latencies): NaN entries are
     /// dropped, infinities are summarized in sorted position.
     #[test]
     fn summary_survives_nan_and_infinite_latencies() {

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use scar::core::{OptMetric, Scar, ScheduleRequest, Scheduler, SearchBudget, Session};
 use scar::maestro::{ChipletConfig, Dataflow};
 use scar::mcm::templates::{het_sides_3x3, Profile};
-use scar::mcm::{Loc, NopTopology};
+use scar::mcm::{Loc, McmConfig, NopTopology};
 use scar::workloads::{LayerKind, ModelBuilder, Scenario, ScenarioModel, UseCase};
 
 fn tiny_budget(seed: u64) -> SearchBudget {
@@ -99,6 +99,38 @@ fn emitted_schedules_are_always_valid() {
         assert!(r.total().latency_s.is_finite() && r.total().latency_s > 0.0);
         assert!(r.total().energy_j.is_finite() && r.total().energy_j > 0.0);
     }
+}
+
+/// A chiplet clocked at 0 Hz makes every cost on it infinite, and the
+/// expected-cost differences and scores built from those costs NaN. The
+/// search must order such scores without panicking and still return a
+/// schedule with finite, positive totals.
+#[test]
+fn a_zero_clock_chiplet_does_not_panic_the_search() {
+    let template = het_sides_3x3(Profile::Datacenter);
+    let mut chiplets = template.chiplets().to_vec();
+    chiplets[0].freq_hz = 0.0;
+    let mcm = McmConfig::new(
+        "Het-Sides (chiplet 0 at 0 Hz)",
+        chiplets,
+        template.topology().clone(),
+        template.offchip_interfaces().to_vec(),
+    );
+    let r = Scar::with_defaults()
+        .schedule(
+            &Session::new(),
+            &ScheduleRequest::new(Scenario::datacenter(1), mcm),
+        )
+        .expect("the eight healthy chiplets can run Sc1");
+    let total = r.total();
+    assert!(
+        total.latency_s.is_finite() && total.latency_s > 0.0,
+        "{total:?}"
+    );
+    assert!(
+        total.energy_j.is_finite() && total.energy_j > 0.0,
+        "{total:?}"
+    );
 }
 
 /// The winner minimizes its own metric over the candidate cloud.
