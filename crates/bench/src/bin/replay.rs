@@ -9,9 +9,6 @@
 //! # warm-start the cost database from a snapshot before replaying
 //! SCAR_COST_DB=costdb.json cargo run --release -p scar-bench --bin replay -- ARTIFACT_serve_AR-VR.json
 //!
-//! # table04 sweeps were recorded under nsplits=4: reconstruct that
-//! SCAR_NSPLITS=4 cargo run --release -p scar-bench --bin replay -- ARTIFACT_table04_edp.json
-//!
 //! # what-if: re-target every recorded request at a different package
 //! SCAR_REPLAY_MCM=simba_nvd cargo run --release -p scar-bench --bin replay -- ARTIFACT_table04_edp.json
 //!
@@ -20,11 +17,9 @@
 //! ```
 //!
 //! Artifacts record the answering scheduler's *name and configuration*
-//! (window splits, search driver); replay reconstructs the recorded
-//! configuration automatically. `SCAR_NSPLITS` / `SCAR_SEARCH` (`brute`
-//! default, `evolutionary` for 6×6 sweeps) remain as fallbacks for
-//! artifacts recorded before configurations were persisted — a recorded
-//! configuration always wins over these knobs.
+//! (window splits, search driver); replay rebuilds each scheduler from
+//! that pair as a policy file ([`scar_serve::PolicyFile`]), so the
+//! recorded configuration is reconstructed exactly.
 //!
 //! Exit code 1 when replaying **without** an MCM override and any
 //! artifact fails to reproduce exactly — or could not be replayed at all
@@ -43,7 +38,7 @@
 //! unchanged-model regressions.
 
 use scar_bench::replay::{band_violations, replay_artifacts, ReplayOptions, ToleranceBand};
-use scar_core::{ScheduleArtifact, SearchKind, Session};
+use scar_core::{ScheduleArtifact, Session};
 use scar_maestro::Dataflow;
 use scar_mcm::templates::{self, Profile};
 use scar_mcm::McmConfig;
@@ -77,8 +72,7 @@ fn main() -> ExitCode {
         eprintln!(
             "env: SCAR_COST_DB=<snapshot> (warm-start costs), \
              SCAR_REPLAY_MCM=<template[:profile]>, \
-             SCAR_REPLAY_FABRIC=none|nop|wireless, SCAR_NSPLITS=<n>, \
-             SCAR_SEARCH=brute|evolutionary, SCAR_REPLAY_BAND=<frac> \
+             SCAR_REPLAY_FABRIC=none|nop|wireless, SCAR_REPLAY_BAND=<frac> \
              (±band gate instead of exactness)"
         );
         return ExitCode::from(2);
@@ -127,29 +121,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-
-    // fallback knobs for artifacts recorded before scheduler
-    // configurations were persisted (a recorded configuration always
-    // overrides these, field by field — see `replay_artifacts`)
-    if let Ok(n) = std::env::var("SCAR_NSPLITS") {
-        match n.parse() {
-            Ok(n) => options.serve_config.nsplits = n,
-            Err(_) => {
-                eprintln!("SCAR_NSPLITS={n:?} is not a window-split count");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Ok(s) = std::env::var("SCAR_SEARCH") {
-        options.serve_config.search = match s.trim().to_ascii_lowercase().as_str() {
-            "brute" | "bruteforce" | "brute-force" => SearchKind::BruteForce,
-            "evo" | "evolutionary" => SearchKind::Evolutionary(Default::default()),
-            other => {
-                eprintln!("SCAR_SEARCH={other:?} is not `brute` or `evolutionary`");
-                return ExitCode::from(2);
-            }
-        };
     }
 
     let session = Session::new();
@@ -229,8 +200,7 @@ fn main() -> ExitCode {
     if !what_if && !all_exact {
         eprintln!(
             "replay drifted from the recording under an unchanged MCM — cost model or \
-             scheduler reconstruction changed (for sweeps recorded under non-default \
-             SCAR knobs predating recorded configurations, set SCAR_NSPLITS / SCAR_SEARCH)"
+             scheduler reconstruction changed"
         );
         return ExitCode::FAILURE;
     }

@@ -24,9 +24,11 @@
 //!   the `zoo` bin for the catalog).
 //! * `SCAR_POLICY_FILE` — path to a JSON policy file (`{"policy": ...,
 //!   "nsplits": ..., "search": ...}`, see [`scar_serve::PolicyFile`])
-//!   naming the policy and its scheduler overrides. Layered *under* the
-//!   env knobs: `SCAR_POLICY` / `SCAR_NSPLITS`, when set, win over the
-//!   file's choices.
+//!   naming the policy and its scheduler overrides: `nsplits` sets SCAR's
+//!   window splits per live scenario (default 1; more splits → shorter
+//!   windows → more preemption opportunities). `SCAR_POLICY`, when set,
+//!   wins over the file's `policy`. A file that does not parse exits
+//!   with code 2.
 //! * `SCAR_ADMISSION` — admission policy: `accept` (default),
 //!   `deadline` (deadline-feasibility via the cost-DB probe), or
 //!   `shed[:N]` (per-stream queue bound, default 8).
@@ -37,8 +39,6 @@
 //! * `SCAR_PREEMPT` — `1` enables mid-window preemption (arrivals cut the
 //!   in-flight schedule at the next window boundary; the remainder is
 //!   respliced). Default off: boundary-only rescheduling.
-//! * `SCAR_NSPLITS` — SCAR window splits per live scenario (default 1;
-//!   more splits → shorter windows → more preemption opportunities).
 //! * `SCAR_COST_DB` — persist path for the MAESTRO cost database: every
 //!   simulator opens it ([`Session::open`]; a missing file is a cold
 //!   start) and saves back after each run. A second process pointed at
@@ -66,12 +66,16 @@
 //! follow [`scar_bench::knobs`]: unset or empty is the default, `0` off,
 //! `1` on, anything else exits with code 2.
 //!
+//! A run the policy cannot schedule (say, an evolutionary search with no
+//! generations finds no candidate) exits with code 1, naming the mix and
+//! the policy.
+//!
 //! Besides stdout (which includes wall-clock timings), the deterministic
 //! serving reports are written to `REPORT_serve_sim.txt` so warm and cold
 //! runs can be diffed byte-for-byte.
 
 use scar_bench::knobs;
-use scar_core::{Parallelism, Session};
+use scar_core::{Parallelism, ScheduleError, Session};
 use scar_mcm::templates::{het_sides_3x3, Profile};
 use scar_serve::{
     AdmissionKind, PolicyFile, PolicyRegistry, ServeConfig, ServeSim, TrafficMix, TrafficShape,
@@ -101,12 +105,21 @@ fn parallelism_from_env() -> Parallelism {
     }
 }
 
+/// `result`'s value, or exit 1 naming the mix and the policy: a search
+/// that finds no schedule is a configuration this run cannot serve.
+fn served<T>(result: Result<T, ScheduleError>, mix: &str, policy: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{mix}: policy {policy} cannot schedule a round: {e}");
+        std::process::exit(1);
+    })
+}
+
 fn main() {
     let horizon_s = 2.0;
     let parallelism = parallelism_from_env();
     let registry = PolicyRegistry::with_zoo();
-    // the policy file (when given) is the base layer; SCAR_POLICY /
-    // SCAR_NSPLITS env knobs, when also set, win over its choices
+    // the policy file (when given) is the base layer; SCAR_POLICY, when
+    // also set, wins over its policy name
     let policy_file = match std::env::var("SCAR_POLICY_FILE") {
         Ok(path) => match PolicyFile::load(&path) {
             Ok(f) => Some(f),
@@ -147,20 +160,6 @@ fn main() {
         }
     };
     let preemption = knobs::flag("SCAR_PREEMPT", false);
-    let nsplits: usize = match std::env::var("SCAR_NSPLITS") {
-        Ok(n) => n.parse().unwrap_or_else(|_| {
-            eprintln!("SCAR_NSPLITS={n:?} is not a window-split count");
-            std::process::exit(2);
-        }),
-        Err(_) => policy_file
-            .as_ref()
-            .and_then(|f| f.overrides.nsplits)
-            .unwrap_or_else(|| ServeConfig::default().nsplits),
-    };
-    let search = policy_file
-        .as_ref()
-        .and_then(|f| f.overrides.search.clone())
-        .unwrap_or_else(|| ServeConfig::default().search);
     let cost_db: Option<std::path::PathBuf> = std::env::var("SCAR_COST_DB").ok().map(Into::into);
     let cost_db_max = match std::env::var("SCAR_COST_DB_MAX") {
         Ok(n) => Some(n.parse::<usize>().unwrap_or_else(|_| {
@@ -175,14 +174,21 @@ fn main() {
     // baselines get the disabled handle so the timeline attributes the
     // primary policy's wall time only
     let telemetry = knobs::telemetry();
-    let make_cfg = |telemetry: Telemetry| ServeConfig {
+    // the policy file's structural overrides reach every simulator; the
+    // Standalone baselines ignore them
+    let common = ServeConfig {
         parallelism,
         admission,
         preemption,
-        nsplits,
-        search: search.clone(),
-        telemetry,
         ..ServeConfig::default()
+    };
+    let common = match &policy_file {
+        Some(f) => f.apply(&common),
+        None => common,
+    };
+    let make_cfg = |telemetry: Telemetry| ServeConfig {
+        telemetry,
+        ..common.clone()
     };
     // whoever opens a session persists it: each simulator opens the
     // snapshot as it stands, and every run ends with a bounded save
@@ -212,10 +218,11 @@ fn main() {
     };
     println!(
         "candidate evaluation: {parallelism:?} ({} worker threads) | policy {policy} | \
-         admission {admission:?} | shape {} | preemption {} | nsplits {nsplits} | cost db {}\n",
+         admission {admission:?} | shape {} | preemption {} | nsplits {} | cost db {}\n",
         parallelism.threads(),
         shape.map_or("native".to_string(), |s| s.to_string()),
         if preemption { "on" } else { "off" },
+        common.nsplits,
         cost_db.as_ref().map_or("off".to_string(), |p| {
             let bound = cost_db_max.map_or(String::new(), |max| format!(" (≤{max} entries)"));
             format!("{}{bound}", p.display())
@@ -253,11 +260,11 @@ fn main() {
             println!("cost database restored: {restored} entries before the first round");
         }
         let t0 = std::time::Instant::now();
-        let cold = sim.run(&mix, horizon_s).expect("mix fits the 3x3 package");
+        let cold = served(sim.run(&mix, horizon_s), &mix.name, &policy);
         let cold_wall = t0.elapsed();
         persist(sim.session());
         let t1 = std::time::Instant::now();
-        let warm = sim.run(&mix, horizon_s).expect("identical mix still fits");
+        let warm = served(sim.run(&mix, horizon_s), &mix.name, &policy);
         let warm_wall = t1.elapsed();
         persist(sim.session());
 
@@ -292,9 +299,9 @@ fn main() {
             .expect("built-in policy");
         let base_session = open_session(&base_cfg);
         let mut base = ServeSim::with_session(&mcm, standalone, base_cfg, base_session);
-        let b = base.run(&mix, horizon_s).expect("standalone fits too");
+        let b = served(base.run(&mix, horizon_s), &mix.name, "Standalone");
         persist(base.session());
-        let b_warm = base.run(&mix, horizon_s).expect("standalone replay fits");
+        let b_warm = served(base.run(&mix, horizon_s), &mix.name, "Standalone");
         persist(base.session());
         writeln!(report_log, "{b_warm}").expect("string write");
         println!(
@@ -313,13 +320,13 @@ fn main() {
         // persist one representative scheduling round through the shared
         // artifact path (same JSON shape the bench tables emit); `of`
         // records the scheduler's configuration so replay reconstructs the
-        // exact knobs (e.g. a non-default SCAR_NSPLITS)
+        // exact knobs (e.g. a policy file's non-default nsplits)
         let live = mix.unit_scenario();
         let artifact = scar_core::ScheduleArtifact::of(
             format!("{} live round", mix.name),
             sim.scheduler(),
             sim.schedule_request(&live),
-            sim.schedule_fresh(&live).expect("live round schedules"),
+            served(sim.schedule_fresh(&live), &mix.name, &policy),
         );
         let path = format!("ARTIFACT_serve_{}.json", mix.use_case);
         let path = path.replace('/', "-").replace(' ', "_");

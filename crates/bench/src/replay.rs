@@ -3,8 +3,9 @@
 //! Every bench binary and the serving simulator persist their schedules as
 //! [`ScheduleArtifact`] JSON (request + scheduler name + result). Replay
 //! closes the fidelity loop ROADMAP asks for: load a recorded sweep,
-//! rebuild each artifact's scheduler from its recorded name (through the
-//! serving [`PolicyRegistry`]), re-run the recorded request over a shared
+//! rebuild each artifact's scheduler from its recorded name and
+//! configuration (a [`PolicyFile`] built through the serving
+//! [`PolicyRegistry`]), re-run the recorded request over a shared
 //! [`Session`] — optionally warm-started from a cost-database snapshot, or
 //! re-targeted at a different MCM — and diff the outcome against what was
 //! recorded.
@@ -25,7 +26,7 @@
 
 use scar_core::{EvalTotals, ScheduleArtifact, ScheduleError, Session};
 use scar_mcm::{InterconnectSpec, McmConfig};
-use scar_serve::{PolicyRegistry, ServeConfig};
+use scar_serve::{PolicyFile, PolicyRegistry, ServeConfig};
 
 /// One artifact's recorded-vs-replayed comparison.
 #[derive(Debug, Clone)]
@@ -202,19 +203,13 @@ pub struct ReplayOptions {
     ///
     /// [`mcm_override`]: ReplayOptions::mcm_override
     pub fabric_override: Option<Option<InterconnectSpec>>,
-    /// Serving configuration handed to the registry factories (SCAR's
-    /// structural knobs). Defaults match `serve_sim`'s defaults.
-    pub serve_config: ServeConfig,
 }
 
-/// Replays `artifacts` over `session`, rebuilding each scheduler by its
-/// recorded name from `registry`. An artifact that recorded the answering
-/// scheduler's *configuration* ([`ScheduleArtifact::scheduler_config`])
-/// is reconstructed with exactly those knobs — the recorded configuration
-/// overrides `options.serve_config` field by field, so a sweep recorded
-/// under `nsplits = 4` replays under `nsplits = 4` no matter what the
-/// caller's default is. Artifacts without one (recorded before
-/// configurations were persisted) fall back to `options.serve_config`.
+/// Replays `artifacts` over `session`, rebuilding each scheduler from
+/// `registry` by its recorded name and configuration
+/// ([`ScheduleArtifact::scheduler_config`]). The pair is a
+/// [`PolicyFile`], applied over the default [`ServeConfig`], so a sweep
+/// recorded under `nsplits = 4` replays under `nsplits = 4`.
 /// Artifacts whose scheduler name the registry does not know are skipped
 /// with a note on stderr (a registry gap is worth seeing, not worth
 /// aborting a sweep over).
@@ -227,14 +222,11 @@ pub fn replay_artifacts(
     artifacts
         .iter()
         .filter_map(|a| {
-            let mut cfg = options.serve_config.clone();
-            if let Some(nsplits) = a.scheduler_config.nsplits {
-                cfg.nsplits = nsplits;
-            }
-            if let Some(search) = &a.scheduler_config.search {
-                cfg.search = search.clone();
-            }
-            let scheduler = match registry.build(&a.scheduler, &cfg) {
+            let recorded = PolicyFile {
+                policy: a.scheduler.clone(),
+                overrides: a.scheduler_config.clone(),
+            };
+            let scheduler = match recorded.build(registry, &ServeConfig::default()) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("replay: skipping {:?}: {e}", a.label);
@@ -307,13 +299,13 @@ mod tests {
                     ..SearchBudget::default()
                 });
         // record through the same registry reconstruction replay will use:
-        // artifacts carry the scheduler *name*, so exact replay holds when
-        // the registry rebuilds the same configuration
+        // artifacts carry the scheduler's name and configuration, so exact
+        // replay holds when the registry rebuilds that configuration
         let scar = PolicyRegistry::with_builtins()
             .build("SCAR", &ServeConfig::default())
             .unwrap();
         let result = scar.schedule(&session, &request).unwrap();
-        ScheduleArtifact::new("Sc1", scar.name(), request, result)
+        ScheduleArtifact::of("Sc1", scar.as_ref(), request, result)
     }
 
     /// Replaying under the unchanged cost model reproduces the recording
@@ -525,8 +517,7 @@ mod tests {
 
     /// An artifact recorded under a *non-default* scheduler configuration
     /// replays exactly because the configuration is recorded and
-    /// reconstructed — before this, replay rebuilt registry defaults and
-    /// silently drifted (the `SCAR_NSPLITS` workaround).
+    /// reconstructed, not guessed from the registry defaults.
     #[test]
     fn recorded_scheduler_config_wins_over_replay_defaults() {
         let session = Session::new();

@@ -8,10 +8,10 @@
 //! the same schedule, report the same totals, and emit the same candidate
 //! cloud (see `tests/determinism.rs`).
 //!
-//! [`par_map`] delivers it with `std::thread::scope`: the input is split
-//! into contiguous chunks, each worker writes results only into its own
-//! disjoint slice of the output, and the caller reads the output in input
-//! order. No work stealing, no locks, no nondeterministic reduction order.
+//! `par_map_chunks` delivers it with `std::thread::scope`: the input is
+//! split into contiguous chunks, each worker maps only its own chunk, and
+//! the caller concatenates the per-chunk results in input order. No work
+//! stealing, no locks, no nondeterministic reduction order.
 
 /// Worker-pool sizing for candidate evaluation (threaded through
 /// [`SearchBudget`](crate::SearchBudget), the serving loop, and the bench
@@ -51,49 +51,15 @@ impl Parallelism {
     }
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers, returning the
-/// results in input order.
-///
-/// Each worker owns a contiguous chunk of the output, so the result is
-/// identical to `items.iter().map(f).collect()` for every thread count;
-/// with `threads <= 1` (or a single item) it *is* that serial loop.
-pub(crate) fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    let f = &f;
-    std::thread::scope(|s| {
-        for (xs, slots) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (x, slot) in xs.iter().zip(slots) {
-                    *slot = Some(f(x));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("chunks cover every output slot"))
-        .collect()
-}
-
 /// Maps `f` over contiguous *chunks* of `items` on up to `threads` scoped
 /// workers, flattening the per-chunk results in input order.
 ///
-/// This is the batched sibling of [`par_map`]: instead of one closure call
-/// per item, each worker receives its whole contiguous slice, letting it
-/// hoist per-task setup (evaluator context, cost-database read locks)
-/// across the chunk. `f` must return exactly one result per input item and
-/// must be pure per item, in which case the output is identical to
-/// `f(items)` run serially for every thread count.
+/// Each worker receives its whole contiguous slice, letting it hoist
+/// per-task setup (evaluator context, cost-database read locks) across
+/// the chunk; a per-item map is `|xs| xs.iter().map(f).collect()`. `f`
+/// must return exactly one result per input item and must be pure per
+/// item, in which case the output is identical to `f(items)` run serially
+/// for every thread count.
 pub(crate) fn par_map_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -139,22 +105,6 @@ mod tests {
         assert_eq!(Parallelism::Fixed(5).threads(), 5);
         assert!(Parallelism::Auto.threads() >= 1);
         assert_eq!(Parallelism::default(), Parallelism::Auto);
-    }
-
-    #[test]
-    fn par_map_preserves_order_for_every_thread_count() {
-        let items: Vec<u64> = (0..103).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for threads in [1, 2, 3, 8, 64, 1000] {
-            assert_eq!(par_map(&items, threads, |x| x * x + 1), expect);
-        }
-    }
-
-    #[test]
-    fn par_map_handles_empty_and_tiny_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert_eq!(par_map(&empty, 8, |x| *x), empty);
-        assert_eq!(par_map(&[7u32], 8, |x| x + 1), vec![8]);
     }
 
     #[test]

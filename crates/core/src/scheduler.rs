@@ -455,14 +455,6 @@ pub struct SchedulerConfig {
     pub search: Option<crate::search::SearchKind>,
 }
 
-impl SchedulerConfig {
-    /// True when nothing was recorded (a configuration-free scheduler, or
-    /// an artifact written before configurations were recorded).
-    pub fn is_empty(&self) -> bool {
-        *self == Self::default()
-    }
-}
-
 /// One scheduling outcome as a self-describing JSON artifact: the request,
 /// the scheduler that answered it (name *and* configuration), and the
 /// result.
@@ -470,7 +462,7 @@ impl SchedulerConfig {
 /// This is the single report path through which bench binaries and the
 /// serving simulator persist schedules — artifacts written by one tool
 /// load in another (or in a notebook) without re-running the search.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleArtifact {
     /// Free-form label (strategy name, mix name, …).
     pub label: String,
@@ -479,8 +471,7 @@ pub struct ScheduleArtifact {
     /// The answering scheduler's structural configuration
     /// ([`Scheduler::config`]), so replay reconstructs the exact window
     /// splits / search driver instead of defaults. Empty for
-    /// configuration-free schedulers and for artifacts recorded before
-    /// configurations were persisted.
+    /// configuration-free schedulers.
     pub scheduler_config: SchedulerConfig,
     /// The request as issued.
     pub request: ScheduleRequest,
@@ -488,49 +479,7 @@ pub struct ScheduleArtifact {
     pub result: ScheduleResult,
 }
 
-/// Hand-written (instead of derived) so artifacts recorded before
-/// `scheduler_config` existed still load: a missing field deserializes as
-/// the empty configuration rather than failing the whole file.
-impl Deserialize for ScheduleArtifact {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::expected("object", "ScheduleArtifact", v))?;
-        let scheduler_config = match obj.iter().find(|(k, _)| k == "scheduler_config") {
-            Some((_, v)) => SchedulerConfig::from_value(v).map_err(|e| {
-                serde::DeError::msg(format!("ScheduleArtifact.scheduler_config: {e}"))
-            })?,
-            None => SchedulerConfig::default(),
-        };
-        Ok(Self {
-            label: serde::__field(obj, "label", "ScheduleArtifact")?,
-            scheduler: serde::__field(obj, "scheduler", "ScheduleArtifact")?,
-            scheduler_config,
-            request: serde::__field(obj, "request", "ScheduleArtifact")?,
-            result: serde::__field(obj, "result", "ScheduleArtifact")?,
-        })
-    }
-}
-
 impl ScheduleArtifact {
-    /// Bundles a labeled request/result pair under a scheduler *name*
-    /// only (no configuration recorded). Prefer [`ScheduleArtifact::of`],
-    /// which captures the answering scheduler's configuration too.
-    pub fn new(
-        label: impl Into<String>,
-        scheduler: impl Into<String>,
-        request: ScheduleRequest,
-        result: ScheduleResult,
-    ) -> Self {
-        Self {
-            label: label.into(),
-            scheduler: scheduler.into(),
-            scheduler_config: SchedulerConfig::default(),
-            request,
-            result,
-        }
-    }
-
     /// Bundles a labeled request/result pair, recording the answering
     /// scheduler's name *and* configuration — what replay needs to
     /// reconstruct the exact scheduler.

@@ -25,7 +25,7 @@
 //! pure function of its content-derived subproblem key (search seed,
 //! layer range, node/cap budgets, fabric parameters — see
 //! [`segmentation::subproblem_key`](crate::segmentation::subproblem_key)),
-//! so `par_map` workers prepare allocations independently, identical
+//! so `par_map_chunks` workers prepare allocations independently, identical
 //! subproblems hit the scheduler-wide [`SegMemo`](crate::segmentation::SegMemo)
 //! cache, and candidate ids are pre-computed from the allocation's PROV
 //! index (`alloc_idx << 32 | n`), not from arrival order. The
@@ -35,7 +35,7 @@
 
 use super::engine::{CandidateSource, WindowCandidate};
 use super::SearchCtx;
-use crate::parallel::par_map;
+use crate::parallel::par_map_chunks;
 use crate::problem::{EvalTotals, Segment, TimeWindow, WindowSchedule};
 use crate::segmentation::SegCandidate;
 use crate::tree;
@@ -51,8 +51,8 @@ const MIN_PER_ALLOC: usize = 8;
 const MAX_COMBOS: usize = 128;
 
 /// One allocation's pre-expanded segmentation space, prepared on a
-/// `par_map` worker: a pure function of `(search seed, window, allocation
-/// contents)`.
+/// `par_map_chunks` worker: a pure function of `(search seed, window,
+/// allocation contents)`.
 struct PreparedAlloc {
     /// The allocation's index in the PROV list — the candidate-id
     /// namespace (`alloc_idx << 32 | n`).
@@ -95,12 +95,15 @@ impl<'c, 'r> BruteSource<'c, 'r> {
         // telemetry sink or the shared RNG (placement draws below stay on
         // the coordinating thread, in batch order).
         let idxs: Vec<usize> = (0..allocations.len()).collect();
-        let prepared: Vec<PreparedAlloc> = par_map(&idxs, ctx.budget.parallelism.threads(), |&i| {
-            prepare_alloc(ctx, window, i, &allocations[i])
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let prepared: Vec<PreparedAlloc> =
+            par_map_chunks(&idxs, ctx.budget.parallelism.threads(), |is: &[usize]| {
+                is.iter()
+                    .map(|&i| prepare_alloc(ctx, window, i, &allocations[i]))
+                    .collect()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         Self {
             ctx,
             window,
@@ -218,12 +221,12 @@ impl CandidateSource for BruteSource<'_, '_> {
 }
 
 /// Expands one allocation's segmentation space: top-k lists for every
-/// active model plus the ranked combo list. Runs on `par_map` workers —
-/// each model's enumeration is a pure function of its subproblem content
-/// through [`SearchCtx::seg_lists_keyed`], so neither worker scheduling
-/// nor the fate of other allocations can perturb the result (the
-/// budget-redistribution invariant), and recurring subproblems hit the
-/// cross-search memo. `None` when any active model has no feasible
+/// active model plus the ranked combo list. Runs on `par_map_chunks`
+/// workers — each model's enumeration is a pure function of its
+/// subproblem content through [`SearchCtx::seg_lists_keyed`], so neither
+/// worker scheduling nor the fate of other allocations can perturb the
+/// result (the budget-redistribution invariant), and recurring
+/// subproblems hit the cross-search memo. `None` when any active model has no feasible
 /// segmentation (the allocation consumes no budget).
 fn prepare_alloc(
     ctx: &SearchCtx<'_>,

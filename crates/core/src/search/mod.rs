@@ -132,8 +132,8 @@ pub(crate) struct SearchCtx<'a> {
     /// candidate lists are byte-identical). `None` in one-shot contexts.
     pub seg_memo: Option<&'a SegMemo>,
     /// Observational only: generation/evaluation spans are recorded from
-    /// the coordinating thread, never inside `par_map` workers, so the
-    /// Serial-vs-`Fixed(N)` determinism contract is untouched.
+    /// the coordinating thread, never inside `par_map_chunks` workers, so
+    /// the Serial-vs-`Fixed(N)` determinism contract is untouched.
     pub tel: &'a Telemetry,
 }
 
@@ -176,8 +176,8 @@ impl<'a> SearchCtx<'a> {
     /// kinds in range, batch, node count, caps, NoP/chiplet parameters,
     /// plus the budget seed as stream identity), so the enumeration is a
     /// pure function of the subproblem. That buys two things at once:
-    /// per-allocation expansion can run on `par_map` workers with no
-    /// cross-allocation RNG coupling, and identical subproblems across
+    /// per-allocation expansion can run on `par_map_chunks` workers with
+    /// no cross-allocation RNG coupling, and identical subproblems across
     /// windows, allocations, and *whole searches* can be answered from
     /// [`SegMemo`] without re-enumerating. The memo is observational —
     /// results are byte-identical with or without it.

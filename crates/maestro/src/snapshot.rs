@@ -268,28 +268,6 @@ impl CostDatabase {
         evicted
     }
 
-    /// [`CostDatabase::compact`] to `max_entries` (when bounded), then
-    /// [`CostDatabase::save_snapshot`] — the lifecycle pass long-lived
-    /// stores run at persist time so snapshots stop growing without
-    /// bound. Returns how many entries the compaction evicted.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] on filesystem failure (the compaction still
-    /// happened — it is an in-memory pass).
-    pub fn save_snapshot_compact(
-        &self,
-        path: impl AsRef<Path>,
-        max_entries: Option<usize>,
-    ) -> Result<usize, SnapshotError> {
-        let evicted = match max_entries {
-            Some(max) => self.compact(max),
-            None => 0,
-        };
-        self.save_snapshot(path)?;
-        Ok(evicted)
-    }
-
     /// Parses snapshot text and merges its entries into this database
     /// (existing entries are overwritten — they are equal by construction
     /// when both sides ran the same cost model). Returns the number of
@@ -561,20 +539,22 @@ mod tests {
         }
     }
 
+    /// A compaction before the save bounds the file: only the survivors
+    /// are written.
     #[test]
-    fn save_snapshot_compact_bounds_the_file() {
+    fn compact_then_save_bounds_the_file() {
         let db = populated();
         let total = db.len();
         let path = std::env::temp_dir().join("scar_maestro_compact_test.json");
-        let evicted = db.save_snapshot_compact(&path, Some(2)).unwrap();
-        assert_eq!(evicted, total - 2);
+        assert_eq!(db.compact(2), total - 2);
+        db.save_snapshot(&path).unwrap();
         let restored = CostDatabase::load_snapshot(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(restored.len(), 2);
-        // unbounded save leaves everything in place
+        // without a compaction the save keeps everything
         let db2 = populated();
         let path2 = std::env::temp_dir().join("scar_maestro_compact_test2.json");
-        assert_eq!(db2.save_snapshot_compact(&path2, None).unwrap(), 0);
+        db2.save_snapshot(&path2).unwrap();
         let restored2 = CostDatabase::load_snapshot(&path2).unwrap();
         std::fs::remove_file(&path2).ok();
         assert_eq!(restored2.len(), total);

@@ -143,11 +143,6 @@ impl<'a> LinkLoads<'a> {
     pub fn dram_bytes(&self) -> f64 {
         self.dram_bytes
     }
-
-    /// Bytes crossing the busiest single NoP link.
-    pub fn max_link_bytes(&self) -> f64 {
-        self.link_bytes.values().fold(0.0_f64, |a, &b| a.max(b))
-    }
 }
 
 #[cfg(test)]

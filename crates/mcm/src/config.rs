@@ -222,12 +222,6 @@ impl McmConfig {
         self.dataflow_counts().len() <= 1
     }
 
-    /// Renames the MCM (used by templates and experiment harnesses).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// The inter-MCM fabric, if one is attached.
     pub fn interconnect(&self) -> Option<&InterconnectSpec> {
         self.interconnect.as_ref()

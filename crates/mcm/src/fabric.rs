@@ -6,8 +6,9 @@
 //! electrical parameters. The communication-characterization literature
 //! (Musavi et al.) argues the tier structure, not the constants, is the
 //! invariant: inter-chip traffic dominates at multi-chiplet scale and each
-//! tier must be priced by *its* fabric. This module makes the ladder
-//! explicit ([`CommTier`]) and enum-dispatches the pricing ([`CommModel`]):
+//! tier must be priced by *its* fabric. This module enum-dispatches the
+//! pricing of every rung — intra-chiplet, on-package, off-chip and
+//! inter-MCM — through one [`CommModel`]:
 //!
 //! * [`CommModel::NopFabric`] — the electrical baseline. Its on-package
 //!   and off-chip arms are byte-for-byte the math that used to live inline
@@ -29,38 +30,9 @@
 //! — because fingerprints fold the spec in only when present — unchanged
 //! schedule-cache fingerprints.
 
-use crate::comm::{CommCost, Loc};
+use crate::comm::CommCost;
 use crate::config::{NopConfig, OffchipConfig};
 use serde::{Deserialize, Serialize};
-
-/// The four rungs of the communication ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CommTier {
-    /// Producer and consumer share a chiplet's L2: no transfer at all.
-    IntraChiplet,
-    /// Chiplet-to-chiplet across the package's NoP links.
-    OnPackage,
-    /// Through a side interface to off-chip DRAM.
-    OffChip,
-    /// Package-to-package, between MCM replicas of a fleet.
-    InterMcm,
-}
-
-impl CommTier {
-    /// Classifies a transfer between two on-package locations (`same_mcm`
-    /// = `true`) or between distinct MCM packages (`false`).
-    pub fn of(src: Loc, dst: Loc, same_mcm: bool) -> CommTier {
-        if !same_mcm {
-            return CommTier::InterMcm;
-        }
-        match (src, dst) {
-            (Loc::Chiplet(a), Loc::Chiplet(b)) if a == b => CommTier::IntraChiplet,
-            (Loc::Chiplet(_), Loc::Chiplet(_)) => CommTier::OnPackage,
-            (Loc::Offchip, Loc::Offchip) => CommTier::IntraChiplet,
-            _ => CommTier::OffChip,
-        }
-    }
-}
 
 /// Bandwidth / latency / energy of one point-to-point fabric link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -170,7 +142,8 @@ impl InterconnectSpec {
     }
 }
 
-/// The tiered communication model: every [`CommTier`] priced by one fabric.
+/// The tiered communication model: every rung of the ladder priced by one
+/// fabric.
 ///
 /// Built by [`crate::McmConfig::comm_model`] from the package's link
 /// parameters plus its optional [`InterconnectSpec`]; all variants are
@@ -269,30 +242,6 @@ impl CommModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tier_classification() {
-        assert_eq!(
-            CommTier::of(Loc::Chiplet(3), Loc::Chiplet(3), true),
-            CommTier::IntraChiplet
-        );
-        assert_eq!(
-            CommTier::of(Loc::Chiplet(0), Loc::Chiplet(5), true),
-            CommTier::OnPackage
-        );
-        assert_eq!(
-            CommTier::of(Loc::Chiplet(0), Loc::Offchip, true),
-            CommTier::OffChip
-        );
-        assert_eq!(
-            CommTier::of(Loc::Offchip, Loc::Chiplet(1), true),
-            CommTier::OffChip
-        );
-        assert_eq!(
-            CommTier::of(Loc::Chiplet(0), Loc::Chiplet(0), false),
-            CommTier::InterMcm
-        );
-    }
 
     #[test]
     fn nop_fabric_matches_table_ii_math() {

@@ -44,5 +44,5 @@ mod topology;
 
 pub use comm::{CommCost, LinkLoads, Loc};
 pub use config::{McmConfig, NopConfig, OffchipConfig};
-pub use fabric::{CommModel, CommTier, FabricKind, FabricParams, InterconnectSpec};
+pub use fabric::{CommModel, FabricKind, FabricParams, InterconnectSpec};
 pub use topology::{ChipletId, NopTopology, TopologyError};

@@ -10,14 +10,16 @@
 //! # Determinism and the merge order
 //!
 //! Routing happens in **one pass over the globally time-sorted arrival
-//! sequence, before any replica executes**. The dispatcher's load signal
-//! is a virtual backlog model (per-replica `busy_until` walls advanced by
-//! the cost-DB min-service probe), not replica execution state — so the
-//! routing decision for arrival `k` depends only on the mix seed, the
-//! dispatch policy, and the decisions for arrivals `0..k`. Replicas then
-//! advance strictly in replica-index order (the fixed merge order), each
-//! one a deterministic [`ServeSim::run_arrivals`] call. Same seed + same
-//! dispatch policy ⇒ byte-identical [`FleetReport`] for any
+//! sequence, before any replica executes**. The dispatch policy is a
+//! [`DispatchKind`] value, and one router per run matches on it for each
+//! arrival. Its load signal is a virtual backlog model (per-replica
+//! `busy_until` walls advanced by the cost-DB min-service probe), not
+//! replica execution state — so the routing decision for arrival `k`
+//! depends only on the mix seed, the dispatch policy, and the decisions
+//! for arrivals `0..k`. Replicas then advance strictly in replica-index
+//! order (the fixed merge order), each one a deterministic
+//! [`ServeSim::run_arrivals`] call. Same seed + same dispatch policy ⇒
+//! byte-identical [`FleetReport`] for any
 //! [`Parallelism`](scar_core::Parallelism) setting, because per-replica
 //! parallelism is already report-invariant and nothing else in the fleet
 //! touches a thread.
@@ -67,11 +69,10 @@
 mod dispatch;
 mod report;
 
-pub use dispatch::{
-    CacheAffinity, DeadlineAware, DispatchContext, DispatchKind, DispatchPolicy, LeastLoaded,
-    RoundRobin,
-};
+pub use dispatch::DispatchKind;
 pub use report::{FabricRollup, FleetReport, ReplicaReport};
+
+use dispatch::Router;
 
 use crate::cache::CacheStats;
 use crate::registry::PolicyRegistry;
@@ -260,7 +261,7 @@ impl FleetSim {
         // The single routing pass (see module docs): virtual busy_until
         // walls stand in for replica load, advanced by the min-service
         // estimate (plus any migration transfer) of every routed arrival.
-        let mut policy = self.cfg.dispatch.policy();
+        let mut router = Router::new(&self.cfg.dispatch);
         let mut routed: Vec<Vec<Request>> = vec![Vec::new(); n];
         {
             let mut dispatch_span = tel.span("fleet.dispatch");
@@ -276,19 +277,7 @@ impl FleetSim {
                         }
                     }
                 }
-                let ctx = DispatchContext {
-                    now_s: r.arrival_s,
-                    stream: r.stream,
-                    deadline_s: r.deadline_s,
-                    backlog_s: &backlog,
-                    min_service_s: &min_service[r.stream],
-                };
-                let target = policy.route(r, &ctx);
-                assert!(
-                    target < n,
-                    "dispatch policy {} routed to replica {target} of a {n}-replica fleet",
-                    policy.name()
-                );
+                let target = router.route(r, &backlog, &min_service[r.stream]);
                 let mut service = min_service[r.stream][target];
                 if let Some(mig) = &migrate {
                     if let Some(last) = last_replica[r.stream] {
@@ -312,11 +301,10 @@ impl FleetSim {
                 busy_until[target] = busy_until[target].max(r.arrival_s) + service;
                 routed[target].push(*r);
             }
-            dispatch_span.push_arg("migrations", policy.migrations());
-            dispatch_span.push_arg("rehomed", policy.rehomed());
+            dispatch_span.push_arg("migrations", router.migrations);
+            dispatch_span.push_arg("rehomed", router.rehomed);
         }
-        let migrations = policy.migrations();
-        let rehomed = policy.rehomed();
+        let (migrations, rehomed) = (router.migrations, router.rehomed);
 
         // Advance replicas strictly in index order — the fixed merge
         // order. Each share preserves global arrival order (the routing
@@ -484,7 +472,7 @@ mod tests {
             small_fleet(
                 4,
                 DispatchKind::CacheAffinity {
-                    max_lag_s: CacheAffinity::DEFAULT_MAX_LAG_S,
+                    max_lag_s: DispatchKind::DEFAULT_MAX_LAG_S,
                     rehome_every: 0,
                 },
             )

@@ -33,10 +33,11 @@
 //!   and per-stream load shedding; rejections are counted into every
 //!   report (`offered == completed + rejected`, always).
 //! * [`registry`] — the policy registry ([`PolicyRegistry`]), the single
-//!   front door for serving policies: schedulers constructed from config
-//!   strings (`SCAR`/`Standalone`/`NN-baton` pre-registered, user
-//!   schedulers registrable), so tools and config files name schedulers
-//!   instead of hard-coding them.
+//!   front door for building serving policies by name: a closed view of
+//!   the zoo catalog (`SCAR`/`Standalone`/`NN-baton`, or all six zoo
+//!   members), so tools and config files name schedulers instead of
+//!   hard-coding them. A custom scheduler serves through
+//!   [`ServeSim::with_scheduler`].
 //! * [`zoo`] — the documented scheduler zoo ([`PolicyRegistry::with_zoo`]
 //!   and its doc cards): NSGA-SCAR plus two named SCAR configurations,
 //!   Merged-Pipeline (`nsplits = 0`) and SCAR-splice (trimmed preempt
@@ -50,8 +51,8 @@
 //! * [`report`] — serving metrics ([`ServeReport`]): p50/p95/p99 latency,
 //!   throughput, deadline-miss rates, energy, cache effectiveness.
 //! * [`fleet`] — the routing tier ([`FleetSim`]): one traffic mix sharded
-//!   across N possibly-heterogeneous MCM replicas through a pluggable
-//!   [`DispatchPolicy`] (round-robin, least-loaded, deadline-aware,
+//!   across N possibly-heterogeneous MCM replicas under one of four
+//!   [`DispatchKind`] policies (round-robin, least-loaded, deadline-aware,
 //!   cache-affinity), with a deterministic dispatch-then-merge run loop
 //!   and a rolled-up [`FleetReport`].
 //!
@@ -96,10 +97,9 @@ pub use cache::{
     fingerprint, fingerprint_parts_in_context, CacheStats, ScheduleCache, ServeContext,
 };
 pub use fleet::{
-    CacheAffinity, DeadlineAware, DispatchContext, DispatchKind, DispatchPolicy, FabricRollup,
-    FleetConfig, FleetReport, FleetSim, LeastLoaded, ReplicaReport, ReplicaSpec, RoundRobin,
+    DispatchKind, FabricRollup, FleetConfig, FleetReport, FleetSim, ReplicaReport, ReplicaSpec,
 };
-pub use registry::{PolicyFactory, PolicyRegistry, UnknownPolicy};
+pub use registry::{PolicyRegistry, UnknownPolicy};
 pub use report::{percentile, LatencySummary, ServeReport, StreamStats};
 pub use sim::{ServeConfig, ServeSim};
 pub use traffic::{ArrivalProcess, Request, RequestStream, TrafficMix, TrafficShape};

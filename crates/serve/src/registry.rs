@@ -4,19 +4,22 @@
 //! turn *names* (from an environment variable, a CLI flag, a JSON config,
 //! a recorded [`ScheduleArtifact`](scar_core::ScheduleArtifact)) into
 //! scheduler values. [`PolicyRegistry`] is the one front door for that: a
-//! name → factory table open to user schedulers, instead of a hard-coded
-//! per-policy `match` duplicated by every tool that reads a config:
+//! closed view of the zoo catalog ([`catalog`](crate::catalog)), whose
+//! cards are the one list of policy names, instead of a per-policy
+//! `match` duplicated by every tool that reads a config:
 //!
-//! * the three paper schedulers (`"SCAR"`, `"Standalone"`, `"NN-baton"`)
-//!   are pre-registered in [`PolicyRegistry::with_builtins`];
-//! * user schedulers join via [`PolicyRegistry::register`] and are then
-//!   constructible from config strings exactly like the built-ins;
+//! * [`PolicyRegistry::with_builtins`] serves the catalog's first three
+//!   cards, the paper schedulers (`"SCAR"`, `"Standalone"`, `"NN-baton"`);
+//! * [`PolicyRegistry::with_zoo`] serves all six cards;
 //! * lookups are case-insensitive, and an unknown name reports the
 //!   available set instead of panicking.
 //!
-//! A factory receives the [`ServeConfig`] so structural knobs that live
-//! on the configuration (SCAR's `nsplits` and search driver) apply to the
-//! constructed scheduler; configuration-free schedulers ignore it.
+//! A scheduler outside the catalog serves through
+//! [`ServeSim::with_scheduler`](crate::ServeSim::with_scheduler).
+//!
+//! Construction receives the [`ServeConfig`] so structural knobs that
+//! live on the configuration (SCAR's `nsplits` and search driver) apply
+//! to the constructed scheduler; configuration-free schedulers ignore it.
 //!
 //! ```
 //! use scar_serve::{PolicyRegistry, ServeConfig};
@@ -29,20 +32,17 @@
 //! ```
 
 use crate::sim::ServeConfig;
+use crate::zoo::{ZooCard, CATALOG};
 use scar_core::baselines::{NnBaton, Standalone};
-use scar_core::{Scar, ScarBuilder, Scheduler};
+use scar_core::{NsgaScar, Scar, ScarBuilder, Scheduler};
 use std::fmt;
-
-/// A scheduler constructor: builds a fresh boxed [`Scheduler`] for a
-/// serving configuration.
-pub type PolicyFactory = Box<dyn Fn(&ServeConfig) -> Box<dyn Scheduler>>;
 
 /// Lookup failure: the requested policy name is not registered.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownPolicy {
     /// The name that failed to resolve.
     pub requested: String,
-    /// Every registered name, in registration order.
+    /// Every registered name, in catalog order.
     pub known: Vec<String>,
 }
 
@@ -60,78 +60,43 @@ impl fmt::Display for UnknownPolicy {
 impl std::error::Error for UnknownPolicy {}
 
 /// A SCAR builder carrying `cfg`'s structural knobs (window splits and
-/// search driver): the base of every SCAR-family registry entry.
-pub(crate) fn scar_builder(cfg: &ServeConfig) -> ScarBuilder {
+/// search driver): the base of every SCAR-family policy.
+fn scar_builder(cfg: &ServeConfig) -> ScarBuilder {
     Scar::builder()
         .nsplits(cfg.nsplits)
         .search(cfg.search.clone())
 }
 
-/// A name → scheduler-factory table (see the module docs).
+/// The policies of a prefix of the zoo catalog, built by name (see the
+/// module docs).
 ///
-/// Names are matched case-insensitively but stored (and reported) in
-/// their registered spelling, which by convention equals the constructed
-/// scheduler's [`Scheduler::name`].
+/// Names are matched case-insensitively but reported in their card
+/// spelling, which equals the constructed scheduler's
+/// [`Scheduler::name`].
+#[derive(Debug)]
 pub struct PolicyRegistry {
-    factories: Vec<(String, PolicyFactory)>,
-}
-
-impl fmt::Debug for PolicyRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PolicyRegistry")
-            .field("policies", &self.names())
-            .finish()
-    }
-}
-
-impl Default for PolicyRegistry {
-    fn default() -> Self {
-        Self::with_builtins()
-    }
+    cards: &'static [ZooCard],
 }
 
 impl PolicyRegistry {
-    /// An empty registry (no built-ins — for tools that want full control
-    /// over the policy namespace).
-    pub fn empty() -> Self {
+    /// The standard registry: the three paper schedulers under their
+    /// report names. `"SCAR"` takes its window splits and search driver
+    /// from the [`ServeConfig`]; the baselines are configuration-free.
+    pub fn with_builtins() -> Self {
         Self {
-            factories: Vec::new(),
+            cards: &CATALOG[..3],
         }
     }
 
-    /// The standard registry: the three paper schedulers pre-registered
-    /// under their report names. `"SCAR"` takes its window splits and
-    /// search driver from the [`ServeConfig`]; the baselines are
-    /// configuration-free.
-    pub fn with_builtins() -> Self {
-        let mut r = Self::empty();
-        r.register("SCAR", |cfg| Box::new(scar_builder(cfg).build()));
-        r.register("Standalone", |_| Box::new(Standalone::new()));
-        r.register("NN-baton", |_| Box::new(NnBaton::new()));
-        r
-    }
-
-    /// Registers (or replaces — last registration wins, so users can
-    /// shadow a built-in with a tuned variant) a factory under `name`.
-    ///
-    /// Shadowing is *surfaced*, not silent: when a factory was already
-    /// registered under a case-insensitive match of `name`, the displaced
-    /// `(registered_name, factory)` pair is returned so the caller can
-    /// warn, re-register it elsewhere, or assert no shadowing happened.
-    /// A fresh registration returns `None`.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn(&ServeConfig) -> Box<dyn Scheduler> + 'static,
-    ) -> Option<(String, PolicyFactory)> {
-        let name = name.into();
-        let displaced = self
-            .factories
-            .iter()
-            .position(|(n, _)| n.eq_ignore_ascii_case(&name))
-            .map(|i| self.factories.remove(i));
-        self.factories.push((name, Box::new(factory)));
-        displaced
+    /// The zoo registry: the three paper schedulers of
+    /// [`PolicyRegistry::with_builtins`] plus the zoo members —
+    /// `"NSGA-SCAR"` (NSGA-II selection in SCAR's pipeline) and two named
+    /// SCAR configurations, `"Merged-Pipeline"` and `"SCAR-splice"` —
+    /// each reading the structural knobs ([`ServeConfig::nsplits`],
+    /// [`ServeConfig::search`]) it honors. One card per name in
+    /// [`catalog`](crate::catalog).
+    pub fn with_zoo() -> Self {
+        Self { cards: &CATALOG }
     }
 
     /// Builds the scheduler registered under `name` (case-insensitive).
@@ -145,27 +110,40 @@ impl PolicyRegistry {
         name: &str,
         cfg: &ServeConfig,
     ) -> Result<Box<dyn Scheduler>, UnknownPolicy> {
-        let name = name.trim();
-        self.factories
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, f)| f(cfg))
-            .ok_or_else(|| UnknownPolicy {
-                requested: name.to_string(),
-                known: self.names().iter().map(|s| s.to_string()).collect(),
-            })
+        let card = self.card(name).ok_or_else(|| UnknownPolicy {
+            requested: name.trim().to_string(),
+            known: self.names().iter().map(|s| s.to_string()).collect(),
+        })?;
+        Ok(match card.name {
+            "SCAR" => Box::new(scar_builder(cfg).build()),
+            "Standalone" => Box::new(Standalone::new()),
+            "NN-baton" => Box::new(NnBaton::new()),
+            "NSGA-SCAR" => Box::new(NsgaScar::new(scar_builder(cfg).build())),
+            // Scope-style merged pipeline: SCAR at nsplits = 0, one fused
+            // window for every co-resident model. The split count is
+            // pinned by definition; only the search driver is configurable
+            "Merged-Pipeline" => Box::new(scar_builder(cfg).name(card.name).nsplits(0).build()),
+            // SCAR with preemptions answered under a pre-trimmed budget
+            "SCAR-splice" => Box::new(scar_builder(cfg).name(card.name).splice_trim(true).build()),
+            other => unreachable!("catalog card {other:?} has no constructor"),
+        })
     }
 
-    /// Whether `name` resolves to a registered factory.
+    /// Whether `name` resolves to a registered policy.
     pub fn contains(&self, name: &str) -> bool {
-        self.factories
-            .iter()
-            .any(|(n, _)| n.eq_ignore_ascii_case(name.trim()))
+        self.card(name).is_some()
     }
 
-    /// Registered names, in registration order.
+    /// Registered names, in catalog order.
     pub fn names(&self) -> Vec<&str> {
-        self.factories.iter().map(|(n, _)| n.as_str()).collect()
+        self.cards.iter().map(|c| c.name).collect()
+    }
+
+    fn card(&self, name: &str) -> Option<&'static ZooCard> {
+        let name = name.trim();
+        self.cards
+            .iter()
+            .find(|c| c.name.eq_ignore_ascii_case(name))
     }
 }
 
@@ -173,7 +151,7 @@ impl PolicyRegistry {
 mod tests {
     use super::*;
     use crate::cache::fingerprint;
-    use scar_core::{ScheduleRequest, Session};
+    use scar_core::ScheduleRequest;
     use scar_mcm::templates::{het_sides_3x3, Profile};
     use scar_workloads::Scenario;
 
@@ -226,7 +204,7 @@ mod tests {
         }
     }
 
-    /// SCAR's factory reads the config's structural knobs: different
+    /// SCAR's constructor reads the config's structural knobs: different
     /// nsplits → different fingerprint (it is configuration).
     #[test]
     fn scar_factory_applies_config_knobs() {
@@ -243,48 +221,5 @@ mod tests {
         let a = r.build("SCAR", &one).unwrap();
         let b = r.build("SCAR", &two).unwrap();
         assert_ne!(fingerprint(&req, a.as_ref()), fingerprint(&req, b.as_ref()));
-    }
-
-    #[test]
-    fn user_policies_register_and_shadow() {
-        struct Custom;
-        impl Scheduler for Custom {
-            fn name(&self) -> &str {
-                "custom"
-            }
-            fn schedule(
-                &self,
-                session: &Session,
-                request: &ScheduleRequest,
-            ) -> Result<scar_core::ScheduleResult, scar_core::ScheduleError> {
-                Standalone::new().schedule(session, request)
-            }
-        }
-        let mut r = PolicyRegistry::with_builtins();
-        assert!(
-            r.register("custom", |_| Box::new(Custom)).is_none(),
-            "fresh registration displaces nothing"
-        );
-        assert!(r.contains("CUSTOM"));
-        assert_eq!(
-            r.build("custom", &ServeConfig::default()).unwrap().name(),
-            "custom"
-        );
-        // shadowing a built-in: last registration wins, and the displaced
-        // factory is returned (in its registered spelling) rather than
-        // silently dropped
-        let displaced = r
-            .register("STANDALONE", |_| Box::new(Custom))
-            .expect("shadowing a built-in must surface the displaced entry");
-        assert_eq!(displaced.0, "Standalone");
-        let original = (displaced.1)(&ServeConfig::default());
-        assert_eq!(original.name(), "Standalone", "displaced factory works");
-        assert_eq!(
-            r.build("standalone", &ServeConfig::default())
-                .unwrap()
-                .name(),
-            "custom"
-        );
-        assert_eq!(r.names().len(), 4);
     }
 }

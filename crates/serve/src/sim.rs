@@ -485,11 +485,6 @@ impl<'a> ServeSim<'a> {
         &self.session
     }
 
-    /// The name of the scheduler serving this simulator.
-    pub fn scheduler_name(&self) -> &str {
-        self.scheduler.name()
-    }
-
     /// The scheduler serving this simulator (e.g. for recording artifacts
     /// with [`scar_core::ScheduleArtifact::of`], which captures its name
     /// and configuration).

@@ -3,29 +3,32 @@
 //!
 //! Modeled on scx's example-schedulers catalog: a scheduler you can't
 //! answer "what does it optimize / when would I use it / would I ship
-//! it?" about is a scheduler nobody will trust. Every entry of
-//! [`PolicyRegistry::with_zoo`] ships a [`ZooCard`] answering exactly
-//! those questions; [`render_catalog`] prints the cards (the `zoo` bench
-//! bin), and DESIGN.md §14 carries the same catalog as a table.
+//! it?" about is a scheduler nobody will trust. The catalog's cards are
+//! the one list of policy names: [`PolicyRegistry`] serves a prefix of
+//! them ([`PolicyRegistry::with_zoo`] all six), so a card and its policy
+//! cannot drift apart. [`render_catalog`] prints the cards (the `zoo`
+//! bench bin), and DESIGN.md §14 carries the same catalog as a table.
 //!
 //! The config-file front end ([`PolicyFile`]) layers **under** the
 //! `SCAR_POLICY` environment knob: a JSON file names the policy and
 //! optional `SchedulerConfig`-shaped structural overrides
 //! (`nsplits`, `search`), the environment variable — when set — still
-//! wins. Unknown policy names fail with the registry's
-//! [`UnknownPolicy`] error, which lists every registered name.
+//! wins for the policy name. Unknown policy names fail with the
+//! registry's [`UnknownPolicy`] error, which lists every registered name.
+//! A recorded artifact's scheduler name and configuration form a policy
+//! file too: replay rebuilds every scheduler through [`PolicyFile`].
 
-use crate::registry::{scar_builder, PolicyRegistry, UnknownPolicy};
+use crate::registry::{PolicyRegistry, UnknownPolicy};
 use crate::sim::ServeConfig;
-use scar_core::{EvoParams, NsgaScar, Scheduler, SchedulerConfig, SearchKind};
+use scar_core::{EvoParams, Scheduler, SchedulerConfig, SearchKind};
 use serde::Value;
 
 /// One zoo entry's doc card (the scx example-schedulers idiom: overview,
-/// typical use case, production readiness — per scheduler, in the
-/// registry's spelling).
+/// typical use case, production readiness — per scheduler). Its name is
+/// the one the registry builds it by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZooCard {
-    /// Registry name (equals the constructed scheduler's
+    /// Policy name (equals the constructed scheduler's
     /// [`Scheduler::name`]).
     pub name: &'static str,
     /// What the policy optimizes — its objective, in one line.
@@ -36,70 +39,73 @@ pub struct ZooCard {
     pub production_ready: &'static str,
 }
 
-/// The full catalog, in registration order of
-/// [`PolicyRegistry::with_zoo`] — one card per registered policy, a
-/// correspondence enforced by test.
+/// The card table: [`PolicyRegistry::with_builtins`] serves the first
+/// three cards, [`PolicyRegistry::with_zoo`] all of them.
+pub(crate) const CATALOG: [ZooCard; 6] = [
+    ZooCard {
+        name: "SCAR",
+        optimizes: "Scalar request metric (EDP by default) via the full \
+                    MCM-Reconfig → PROV → SEG → SCHED pipeline with \
+                    splice-aware preemption.",
+        use_case: "The default for every mix: datacenter query traffic and \
+                   AR/VR frame clocks alike (the paper's Tables IV/V).",
+        production_ready: "Yes — the reference scheduler every gate in CI runs.",
+    },
+    ZooCard {
+        name: "Standalone",
+        optimizes: "Nothing jointly: each model gets the package to itself, \
+                    serialized (the paper's Standalone baseline).",
+        use_case: "Lower-bound comparisons and debugging single-model cost \
+                   questions without co-residency effects.",
+        production_ready: "Yes, as a baseline — never competitive on multi-tenant mixes.",
+    },
+    ZooCard {
+        name: "NN-baton",
+        optimizes: "Greedy per-model chiplet handoff (the NN-Baton-style \
+                    baseline): fast, no window search.",
+        use_case: "A stronger baseline than Standalone when search cost \
+                   must be near zero.",
+        production_ready: "Yes, as a baseline — no deadline or fairness awareness.",
+    },
+    ZooCard {
+        name: "NSGA-SCAR",
+        optimizes: "The (latency, energy, fairness/violation) Pareto front \
+                    per window — NSGA-II non-dominated sorting + crowding \
+                    distance over the full candidate cloud, knee point \
+                    under the request metric.",
+        use_case: "Mixes where the scalar metric hides trade-offs: energy- \
+                   capped serving, straggler-sensitive co-residency, \
+                   constrained-latency windows.",
+        production_ready: "Experimental — deterministic and replay-safe, but \
+                          selection quality is still being characterized \
+                          against Table IV/V.",
+    },
+    ZooCard {
+        name: "Merged-Pipeline",
+        optimizes: "One fused pipelined allocation for all co-resident \
+                    models (Scope-style): no reconfiguration boundaries, \
+                    nsplits pinned to 0.",
+        use_case: "Steady co-resident mixes where reconfiguration overhead \
+                   dominates and every model fits the package at once.",
+        production_ready: "Experimental — loses to SCAR when windowing \
+                          matters (stragglers pin the fused window).",
+    },
+    ZooCard {
+        name: "SCAR-splice",
+        optimizes: "SCAR's objective with preemptions answered under a \
+                    pre-trimmed search budget: splice latency over splice \
+                    breadth.",
+        use_case: "Preemption-heavy overload mixes where re-search wall \
+                   time is itself the bottleneck.",
+        production_ready: "Yes for preemption-heavy serving — cold-start \
+                          scheduling is bit-identical to SCAR.",
+    },
+];
+
+/// The full catalog, in the order [`PolicyRegistry::with_zoo`] lists its
+/// names — one card per policy.
 pub fn catalog() -> Vec<ZooCard> {
-    vec![
-        ZooCard {
-            name: "SCAR",
-            optimizes: "Scalar request metric (EDP by default) via the full \
-                        MCM-Reconfig → PROV → SEG → SCHED pipeline with \
-                        splice-aware preemption.",
-            use_case: "The default for every mix: datacenter query traffic and \
-                       AR/VR frame clocks alike (the paper's Tables IV/V).",
-            production_ready: "Yes — the reference scheduler every gate in CI runs.",
-        },
-        ZooCard {
-            name: "Standalone",
-            optimizes: "Nothing jointly: each model gets the package to itself, \
-                        serialized (the paper's Standalone baseline).",
-            use_case: "Lower-bound comparisons and debugging single-model cost \
-                       questions without co-residency effects.",
-            production_ready: "Yes, as a baseline — never competitive on multi-tenant mixes.",
-        },
-        ZooCard {
-            name: "NN-baton",
-            optimizes: "Greedy per-model chiplet handoff (the NN-Baton-style \
-                        baseline): fast, no window search.",
-            use_case: "A stronger baseline than Standalone when search cost \
-                       must be near zero.",
-            production_ready: "Yes, as a baseline — no deadline or fairness awareness.",
-        },
-        ZooCard {
-            name: "NSGA-SCAR",
-            optimizes: "The (latency, energy, fairness/violation) Pareto front \
-                        per window — NSGA-II non-dominated sorting + crowding \
-                        distance over the full candidate cloud, knee point \
-                        under the request metric.",
-            use_case: "Mixes where the scalar metric hides trade-offs: energy- \
-                       capped serving, straggler-sensitive co-residency, \
-                       constrained-latency windows.",
-            production_ready: "Experimental — deterministic and replay-safe, but \
-                              selection quality is still being characterized \
-                              against Table IV/V.",
-        },
-        ZooCard {
-            name: "Merged-Pipeline",
-            optimizes: "One fused pipelined allocation for all co-resident \
-                        models (Scope-style): no reconfiguration boundaries, \
-                        nsplits pinned to 0.",
-            use_case: "Steady co-resident mixes where reconfiguration overhead \
-                       dominates and every model fits the package at once.",
-            production_ready: "Experimental — loses to SCAR when windowing \
-                              matters (stragglers pin the fused window).",
-        },
-        ZooCard {
-            name: "SCAR-splice",
-            optimizes: "SCAR's objective with preemptions answered under a \
-                        pre-trimmed search budget: splice latency over splice \
-                        breadth.",
-            use_case: "Preemption-heavy overload mixes where re-search wall \
-                       time is itself the bottleneck.",
-            production_ready: "Yes for preemption-heavy serving — cold-start \
-                              scheduling is bit-identical to SCAR.",
-        },
-    ]
+    CATALOG.to_vec()
 }
 
 /// Renders the catalog as scx-style cards (the `zoo` bin's output and
@@ -114,38 +120,6 @@ pub fn render_catalog() -> String {
         ));
     }
     out
-}
-
-impl PolicyRegistry {
-    /// The zoo registry: the three paper schedulers of
-    /// [`PolicyRegistry::with_builtins`] plus the zoo members —
-    /// `"NSGA-SCAR"` (NSGA-II selection in SCAR's pipeline) and two named
-    /// SCAR configurations, `"Merged-Pipeline"` and `"SCAR-splice"` —
-    /// each reading the structural knobs ([`ServeConfig::nsplits`],
-    /// [`ServeConfig::search`]) it honors. One card per name in
-    /// [`catalog`], enforced by test.
-    pub fn with_zoo() -> Self {
-        let mut r = Self::with_builtins();
-        r.register("NSGA-SCAR", |cfg| {
-            Box::new(NsgaScar::new(scar_builder(cfg).build()))
-        });
-        r.register("Merged-Pipeline", |cfg| {
-            // Scope-style merged pipeline: SCAR at nsplits = 0, one fused
-            // window for every co-resident model. The split count is
-            // pinned by definition; only the search driver is configurable
-            Box::new(scar_builder(cfg).name("Merged-Pipeline").nsplits(0).build())
-        });
-        r.register("SCAR-splice", |cfg| {
-            // SCAR with preemptions answered under a pre-trimmed budget
-            Box::new(
-                scar_builder(cfg)
-                    .name("SCAR-splice")
-                    .splice_trim(true)
-                    .build(),
-            )
-        });
-        r
-    }
 }
 
 /// A parsed policy config file (`SCAR_POLICY_FILE`): the policy name
@@ -177,7 +151,8 @@ impl PolicyFile {
     /// # Errors
     ///
     /// A human-readable message naming the offending field: missing or
-    /// non-string `policy`, a malformed `nsplits`/`search`, an unknown
+    /// non-string `policy`, a malformed `nsplits`/`search` (an
+    /// evolutionary `population` of 0 included), an unknown
     /// key (config files with typos should fail loudly, not silently
     /// run the default), or JSON that does not parse at all.
     pub fn parse(json: &str) -> Result<Self, String> {
@@ -233,8 +208,9 @@ impl PolicyFile {
     }
 
     /// `base` with this file's overrides applied (`None` fields leave
-    /// the base untouched) — the same field-by-field layering replay
-    /// uses for recorded scheduler configs.
+    /// the base untouched): the one place a [`SchedulerConfig`] is laid
+    /// over a [`ServeConfig`], for config files and recorded artifacts
+    /// alike.
     pub fn apply(&self, base: &ServeConfig) -> ServeConfig {
         let mut cfg = base.clone();
         if let Some(nsplits) = self.overrides.nsplits {
@@ -285,8 +261,12 @@ fn parse_search(val: &Value) -> Result<SearchKind, String> {
             for (key, v) in fields {
                 match key.as_str() {
                     "population" => {
+                        // an empty population has no candidate to score
                         p.population =
-                            v.as_u64().ok_or("\"population\" must be an integer")? as usize;
+                            match v.as_u64().ok_or("\"population\" must be an integer")? {
+                                0 => return Err("\"population\" must be at least 1".to_string()),
+                                n => n as usize,
+                            };
                     }
                     "generations" => {
                         p.generations =
@@ -310,9 +290,9 @@ fn parse_search(val: &Value) -> Result<SearchKind, String> {
 mod tests {
     use super::*;
 
-    /// The zoo invariant: one card per registered policy, same names,
-    /// same order, and every card's name builds a scheduler reporting
-    /// that exact name.
+    /// The zoo invariant: the registry lists the cards' names in order,
+    /// and every card's name builds a scheduler reporting that exact name
+    /// (a card without a constructor fails here).
     #[test]
     fn catalog_matches_the_registry_exactly() {
         let registry = PolicyRegistry::with_zoo();
@@ -412,14 +392,17 @@ mod tests {
                 r#"{ "policy": "SCAR", "search": { "Evolutionary": { "popsize": 3 } } }"#,
                 "unknown Evolutionary parameter",
             ),
+            (
+                r#"{"policy":"SCAR","search":{"Evolutionary":{"population":0}}}"#,
+                "\"population\" must be at least 1",
+            ),
         ] {
             let err = PolicyFile::parse(bad).unwrap_err();
             assert!(err.contains(needle), "{bad:?} → {err:?}");
         }
     }
 
-    /// The registry-shadowing satellite's second half: a config file
-    /// naming an unknown policy fails with [`UnknownPolicy`] and its
+    /// A config file naming an unknown policy fails with [`UnknownPolicy`] and its
     /// known-names list — every zoo name included — not a panic or a
     /// silent default.
     #[test]

@@ -7,6 +7,7 @@
 //!   `&'static str` names from a fixed taxonomy (see [`phase_of`]) plus
 //!   optional key/value args, and serialize to Chrome `trace_event` JSON
 //!   ([`Telemetry::trace_json`]) loadable in Perfetto/chrome://tracing.
+//!   Complete spans (`"ph": "X"`) are the only timeline events.
 //! * **Metrics** — a registry of named counters ([`Telemetry::count`]),
 //!   gauges ([`Telemetry::gauge`]), and fixed-bucket histograms
 //!   ([`Telemetry::observe`]), dumped as deterministic-ordered JSON
@@ -25,7 +26,7 @@
 //! sink is attached). The handle is passed explicitly — no thread-locals,
 //! no global mutable state — so instrumentation cannot perturb the
 //! Serial-vs-`Fixed(N)` determinism contract: recording happens on the
-//! coordinating thread, never inside `par_map` workers.
+//! coordinating thread, never inside `par_map_chunks` workers.
 //!
 //! # Example
 //!
@@ -90,7 +91,7 @@ pub fn phase_of(span: &str) -> Option<&'static str> {
 /// The five phase categories serving traces attribute wall time to.
 pub const PHASES: [&str; 5] = ["generation", "evaluation", "splice", "cache", "admission"];
 
-/// An argument value attached to a span or instant event.
+/// An argument value attached to a span.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// An unsigned integer.
@@ -169,14 +170,6 @@ struct SpanEvent {
     args: Vec<(&'static str, ArgValue)>,
 }
 
-/// One recorded instant event (Chrome `"ph": "i"`).
-#[derive(Debug, Clone)]
-struct InstantEvent {
-    name: &'static str,
-    ts_us: f64,
-    args: Vec<(&'static str, ArgValue)>,
-}
-
 /// A fixed-bucket histogram: counts per upper bound plus an overflow
 /// bucket, with total count and sum for mean computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,7 +231,6 @@ pub struct SpanWall {
 #[derive(Default)]
 struct State {
     spans: Vec<SpanEvent>,
-    instants: Vec<InstantEvent>,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
@@ -255,7 +247,6 @@ struct Inner {
     epoch: Instant,
     state: Mutex<State>,
     spans_recorded: AtomicU64,
-    events_recorded: AtomicU64,
     counter_updates: AtomicU64,
 }
 
@@ -306,7 +297,6 @@ impl Telemetry {
             epoch: Instant::now(),
             state: Mutex::new(State::default()),
             spans_recorded: AtomicU64::new(0),
-            events_recorded: AtomicU64::new(0),
             counter_updates: AtomicU64::new(0),
         })))
     }
@@ -321,11 +311,6 @@ impl Telemetry {
         self.0.as_ref().is_some_and(|i| i.trace)
     }
 
-    /// Whether the metrics registry is recording.
-    pub fn metrics_enabled(&self) -> bool {
-        self.0.as_ref().is_some_and(|i| i.metrics)
-    }
-
     /// Opens a span guard; dropping it records the interval. On the
     /// disabled handle this is free (no clock read).
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
@@ -336,21 +321,6 @@ impl Telemetry {
                 start: Instant::now(),
                 args: Vec::new(),
             }),
-        }
-    }
-
-    /// Records an instant event (a timeline marker without duration).
-    pub fn event(&self, name: &'static str) {
-        if let Some(inner) = self.0.as_deref() {
-            let ts_us = inner.epoch.elapsed().as_secs_f64() * 1e6;
-            inner.events_recorded.fetch_add(1, Ordering::Relaxed);
-            if inner.trace {
-                inner.lock().instants.push(InstantEvent {
-                    name,
-                    ts_us,
-                    args: Vec::new(),
-                });
-            }
         }
     }
 
@@ -402,13 +372,6 @@ impl Telemetry {
         self.0
             .as_ref()
             .map_or(0, |i| i.spans_recorded.load(Ordering::Relaxed))
-    }
-
-    /// Instant events recorded so far.
-    pub fn events_recorded(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.events_recorded.load(Ordering::Relaxed))
     }
 
     /// Counter updates applied so far.
@@ -479,13 +442,11 @@ impl Telemetry {
             return None;
         }
         let state = inner.lock();
-        let mut events: Vec<Value> = Vec::with_capacity(state.spans.len() + state.instants.len());
-        for s in &state.spans {
-            events.push(trace_event(s.name, "X", s.ts_us, Some(s.dur_us), &s.args));
-        }
-        for e in &state.instants {
-            events.push(trace_event(e.name, "i", e.ts_us, None, &e.args));
-        }
+        let mut events: Vec<Value> = state
+            .spans
+            .iter()
+            .map(|s| trace_event(s.name, s.ts_us, s.dur_us, &s.args))
+            .collect();
         // Perfetto sorts by ts itself, but a sorted file diffs better
         events.sort_by(|a, b| {
             let ts = |v: &Value| v.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
@@ -585,25 +546,18 @@ impl Telemetry {
     }
 }
 
-fn trace_event(
-    name: &str,
-    ph: &str,
-    ts_us: f64,
-    dur_us: Option<f64>,
-    args: &[(&'static str, ArgValue)],
-) -> Value {
+/// One complete span as a Chrome `trace_event` object.
+fn trace_event(name: &str, ts_us: f64, dur_us: f64, args: &[(&'static str, ArgValue)]) -> Value {
     let mut fields: Vec<(String, Value)> = vec![
         ("name".to_string(), Value::Str(name.to_string())),
         (
             "cat".to_string(),
             Value::Str(phase_of(name).unwrap_or("span").to_string()),
         ),
-        ("ph".to_string(), Value::Str(ph.to_string())),
+        ("ph".to_string(), Value::Str("X".to_string())),
         ("ts".to_string(), Value::Float(ts_us)),
+        ("dur".to_string(), Value::Float(dur_us)),
     ];
-    if let Some(dur) = dur_us {
-        fields.push(("dur".to_string(), Value::Float(dur)));
-    }
     fields.push(("pid".to_string(), Value::UInt(1)));
     fields.push(("tid".to_string(), Value::UInt(0)));
     if !args.is_empty() {
@@ -862,9 +816,7 @@ mod tests {
         tel.count("serve.cache.hits", 5);
         tel.gauge("serve.cache.entries", 1.0);
         tel.observe("serve.queue_depth", 4.0);
-        tel.event("marker");
         assert_eq!(tel.spans_recorded(), 0);
-        assert_eq!(tel.events_recorded(), 0);
         assert_eq!(tel.counter_updates(), 0);
         assert_eq!(tel.counter("serve.cache.hits"), 0);
         assert!(tel.trace_json().is_none());
@@ -963,7 +915,7 @@ mod tests {
     fn analyze_trace_computes_coverage() {
         // synthetic: one 100 µs root, generation 0-40, evaluation 40-90,
         // a nested (double-counted if naive) evaluation 50-60
-        let mk = |name: &str, ts: f64, dur: f64| trace_event(name, "X", ts, Some(dur), &[]);
+        let mk = |name: &str, ts: f64, dur: f64| trace_event(name, ts, dur, &[]);
         let doc = Value::Object(vec![(
             "traceEvents".to_string(),
             Value::Array(vec![

@@ -257,16 +257,6 @@ impl LayerKind {
         }
     }
 
-    /// True for operator classes dominated by dense multiply-accumulates
-    /// (convolutions and matrix products) — the layers whose dataflow
-    /// affinity drives heterogeneous scheduling.
-    pub fn is_tensor_op(&self) -> bool {
-        matches!(
-            self,
-            LayerKind::Conv2d { .. } | LayerKind::Gemm { .. } | LayerKind::MatMul { .. }
-        )
-    }
-
     /// Short operator-class mnemonic (`conv`, `gemm`, …).
     pub fn op_name(&self) -> &'static str {
         match self {

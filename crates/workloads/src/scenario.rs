@@ -110,15 +110,6 @@ impl Scenario {
         out
     }
 
-    /// Total batched MACs across all models (workload "weight" used in
-    /// reports).
-    pub fn total_macs(&self) -> u64 {
-        self.models
-            .iter()
-            .map(|m| m.model.stats(DataType::Int8).macs * m.batch)
-            .sum()
-    }
-
     /// Builds datacenter scenario `n` (1–5) from Table III.
     ///
     /// # Panics

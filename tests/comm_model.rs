@@ -22,8 +22,8 @@ use scar::core::Parallelism;
 use scar::mcm::templates::{het_sides_3x3, Profile};
 use scar::mcm::{CommCost, InterconnectSpec, Loc};
 use scar::serve::{
-    CacheAffinity, DispatchKind, FleetConfig, FleetSim, ReplicaSpec, ServeConfig, ServeSim,
-    TrafficMix, TrafficShape,
+    DispatchKind, FleetConfig, FleetSim, ReplicaSpec, ServeConfig, ServeSim, TrafficMix,
+    TrafficShape,
 };
 
 fn close(got: f64, want: f64, tol: f64, what: &str) {
@@ -252,7 +252,7 @@ fn rehoming_fires_under_imbalance() {
             ServeConfig::default(),
             burst,
             75.0,
-            CacheAffinity::DEFAULT_MAX_LAG_S,
+            DispatchKind::DEFAULT_MAX_LAG_S,
             64,
         ),
     ];

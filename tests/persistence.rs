@@ -175,7 +175,7 @@ fn replay_reproduces_recordings_at_zero_cost() {
 
     let donor = Session::new();
     let result = scheduler.schedule(&donor, &req).unwrap();
-    let artifact = scar::core::ScheduleArtifact::new("round", scheduler.name(), req, result);
+    let artifact = scar::core::ScheduleArtifact::of("round", scheduler.as_ref(), req, result);
     let artifact_path = temp("replay_artifact");
     let snapshot_path = temp("replay_costs");
     scar::core::ScheduleArtifact::save_all(&artifact_path, std::slice::from_ref(&artifact))

@@ -103,8 +103,7 @@ fn schedule_result_roundtrips_through_json() {
         assert_eq!(back.pareto_front(), result.pareto_front());
         assert_eq!(back.model_completion_s(0), result.model_completion_s(0));
 
-        let artifact =
-            ScheduleArtifact::new("integration", scheduler.name(), req.clone(), result.clone());
+        let artifact = ScheduleArtifact::of("integration", scheduler, req.clone(), result.clone());
         let back = ScheduleArtifact::from_json(&artifact.to_json()).unwrap();
         assert_eq!(back, artifact, "{} artifact", scheduler.name());
     }
@@ -159,26 +158,8 @@ fn scheduler_config_roundtrips_through_artifacts() {
         "reconstructed configuration must fingerprint like the recorded one"
     );
 
-    // baselines record the empty configuration, and pre-config artifacts
-    // (no scheduler_config field in the JSON) still load
-    let standalone = Standalone::new();
-    assert!(standalone.config().is_empty());
-    let legacy_json = {
-        // drop the scheduler_config field from the value tree, as if the
-        // artifact had been written before the field existed
-        use serde::{Serialize, Value};
-        let v = artifact.to_value();
-        let fields = v.as_object().expect("artifacts serialize as objects");
-        let stripped: Vec<(String, Value)> = fields
-            .iter()
-            .filter(|(k, _)| k != "scheduler_config")
-            .cloned()
-            .collect();
-        serde::write_pretty(&Value::Object(stripped))
-    };
-    let legacy = ScheduleArtifact::from_json(&legacy_json)
-        .expect("artifacts recorded before configurations existed must load");
-    assert!(legacy.scheduler_config.is_empty());
+    // baselines record the empty configuration
+    assert_eq!(Standalone::new().config(), SchedulerConfig::default());
 }
 
 /// The serving loop's incremental path is exposed through the trait:

@@ -4,8 +4,8 @@
 //! exactly through the same registry it was built from, the NSGA-SCAR
 //! candidate cloud's Pareto front is mutually non-dominated, and the
 //! rendered catalog covers the registry one-to-one. This is the test the
-//! CI `zoo-smoke` job runs: registering a policy without a doc card, or
-//! one that drifts across thread counts, fails here.
+//! CI `zoo-smoke` job runs: a policy that drifts across thread counts, or
+//! a card with empty sections, fails here.
 
 use scar::core::{
     OptMetric, Parallelism, ScheduleArtifact, ScheduleRequest, SearchBudget, Session,
