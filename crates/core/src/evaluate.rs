@@ -22,7 +22,10 @@
 //! reads the cost database through one dense cost table: the `b′` sweep asks
 //! for every (layer, divisor, chiplet) of a window, and a search chunk asks
 //! again for every candidate of the same window, so the table answers all
-//! repeats of a key from a dense array after one database query.
+//! repeats of a key from a dense array after one database query. Each
+//! window's δ ledger is one byte count per directed NoP link, and its flows
+//! walk the routes the package laid out when it was built, so pricing
+//! contention neither routes nor hashes per flow.
 
 use crate::parallel::{self, Parallelism};
 use crate::problem::{EvalTotals, OptMetric, ScheduleInstance, WindowSchedule};

@@ -296,15 +296,15 @@ impl ScheduleRequest {
     }
 }
 
-/// Hand-written (instead of derived) to rebuild the MCM's topology caches,
-/// which are `#[serde(skip)]`-ed out of the hardware description.
+/// Hand-written (instead of derived) so that a request recorded before
+/// `trace_tag` existed keeps loading. The MCM validates itself and builds
+/// its routes as it deserializes.
 impl Deserialize for ScheduleRequest {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let obj = v
             .as_object()
             .ok_or_else(|| serde::DeError::expected("object", "ScheduleRequest", v))?;
-        let mut mcm: McmConfig = serde::__field(obj, "mcm", "ScheduleRequest")?;
-        mcm.rebuild_caches();
+        let mcm: McmConfig = serde::__field(obj, "mcm", "ScheduleRequest")?;
         // `trace_tag` postdates persisted requests: absent = None, so
         // artifacts recorded before the field existed keep loading
         let trace_tag = match obj.iter().find(|(k, _)| k == "trace_tag") {

@@ -17,9 +17,9 @@
 //! being silently lost.
 //!
 //! Segmentation expansion and the placement walk are generation's two
-//! large costs: at one search thread on a 2-vCPU host they take 11.6%
-//! and 15.0% of an overload serving pass, and 13.1% and 4.0% of a
-//! cache-affinity fleet pass, against 5.3% and 2.1% for building the
+//! large costs: at one search thread on a 2-vCPU host they take 15.1%
+//! and 20.3% of an overload serving pass, and 14.3% and 4.5% of a
+//! cache-affinity fleet pass, against 7.1% and 2.4% for building the
 //! candidates (DESIGN.md §6 has the full split). Segmentation expansion
 //! runs in *parallel* across allocations: each model's top-k list is a
 //! pure function of its content-derived subproblem key (search seed,

@@ -5,9 +5,9 @@
 //! (allocation × segmentation × placement) candidates. Generation is
 //! sequential and RNG-driven; evaluation (the §III-E cost model) is
 //! embarrassingly parallel. Neither half is cheap: at one search thread
-//! on a 2-vCPU host, evaluation takes 53% of an overload serving pass
-//! and generation (segmentation top-k, placement walk, candidate
-//! materialization) most of the rest of the search's 89% (DESIGN.md §6).
+//! on a 2-vCPU host, evaluation takes 39% of an overload serving pass
+//! and generation (segmentation expansion, placement walk, candidate
+//! materialization) most of the rest of the search's 86% (DESIGN.md §6).
 //! The engine exploits that split:
 //!
 //! * a [`CandidateSource`] (brute-force or evolutionary) produces ordered

@@ -4,6 +4,7 @@ use crate::fabric::{CommModel, InterconnectSpec};
 use crate::topology::{ChipletId, NopTopology};
 use scar_maestro::{ChipletConfig, Dataflow};
 use serde::{Deserialize, Serialize, Value};
+use std::fmt;
 
 /// Off-chip DRAM interface parameters (Table II, 28 nm scaled).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -89,8 +90,78 @@ impl Serialize for McmConfig {
     }
 }
 
+/// Why a value is not an MCM description.
+#[derive(Debug)]
+pub(crate) enum Rejection {
+    /// The value does not fit the schema.
+    Schema(serde::DeError),
+    /// The value fits the schema, but `field` breaks the rule `reason`
+    /// states: the package it names cannot exist.
+    Invalid {
+        /// Dotted path of the offending field (`chiplets[2].freq_hz`).
+        field: String,
+        /// The rule the field breaks.
+        reason: String,
+    },
+}
+
+impl From<serde::DeError> for Rejection {
+    fn from(e: serde::DeError) -> Self {
+        Rejection::Schema(e)
+    }
+}
+
+fn invalid(field: impl fmt::Display, reason: impl fmt::Display) -> Rejection {
+    Rejection::Invalid {
+        field: field.to_string(),
+        reason: reason.to_string(),
+    }
+}
+
+/// What a link or chiplet number must be.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// A bandwidth, clock or width: finite and above zero.
+    Positive,
+    /// A latency or energy constant: finite and not below zero.
+    NonNegative,
+}
+
+impl Rule {
+    fn check(self, field: impl fmt::Display, x: f64) -> Result<(), Rejection> {
+        let (holds, bound) = match self {
+            Rule::Positive => (x > 0.0, "> 0"),
+            Rule::NonNegative => (x >= 0.0, ">= 0"),
+        };
+        if x.is_finite() && holds {
+            Ok(())
+        } else {
+            Err(invalid(
+                field,
+                format!("must be finite and {bound}, got {x}"),
+            ))
+        }
+    }
+}
+
+/// Every deserialized MCM is validated: [`McmConfig`]'s own invariants (the
+/// ones [`McmConfig::new`] asserts) plus physical link and chiplet numbers,
+/// so a description file, a schedule request and an artifact are all
+/// rejected the same way, naming the offending field.
 impl Deserialize for McmConfig {
     fn from_value(v: &Value) -> Result<Self, serde::DeError> {
+        Self::decode(v).map_err(|r| match r {
+            Rejection::Schema(e) => e,
+            Rejection::Invalid { field, reason } => {
+                serde::DeError::msg(format!("McmConfig.{field}: {reason}"))
+            }
+        })
+    }
+}
+
+impl McmConfig {
+    /// Reads and validates an MCM description.
+    pub(crate) fn decode(v: &Value) -> Result<Self, Rejection> {
         let obj = v
             .as_object()
             .ok_or_else(|| serde::DeError::expected("object", "McmConfig", v))?;
@@ -101,15 +172,93 @@ impl Deserialize for McmConfig {
             ),
             None => None,
         };
-        Ok(Self {
+        let (_, topology) = obj
+            .iter()
+            .find(|(k, _)| k == "topology")
+            .ok_or_else(|| serde::DeError::missing_field("topology", "McmConfig"))?;
+        let mcm = Self {
             name: serde::__field(obj, "name", "McmConfig")?,
             chiplets: serde::__field(obj, "chiplets", "McmConfig")?,
-            topology: serde::__field(obj, "topology", "McmConfig")?,
+            topology: NopTopology::decode(topology)
+                .map_err(|e| serde::DeError::msg(format!("McmConfig.topology: {e}")))?
+                .map_err(|e| invalid("topology", e))?,
             offchip_interfaces: serde::__field(obj, "offchip_interfaces", "McmConfig")?,
             offchip: serde::__field(obj, "offchip", "McmConfig")?,
             nop: serde::__field(obj, "nop", "McmConfig")?,
             interconnect,
-        })
+        };
+        mcm.validate()?;
+        Ok(mcm)
+    }
+
+    /// The checks a deserialized MCM passes: the structure
+    /// [`McmConfig::new`] asserts, at least one PE per chiplet, positive
+    /// bandwidths, clocks and widths, and finite non-negative latencies and
+    /// energies.
+    fn validate(&self) -> Result<(), Rejection> {
+        use Rule::{NonNegative, Positive};
+        let nodes = self.topology.num_nodes();
+        if self.chiplets.len() != nodes {
+            let reason = format!(
+                "{} chiplets on a {nodes}-node topology",
+                self.chiplets.len()
+            );
+            return Err(invalid("chiplets", reason));
+        }
+        if self.offchip_interfaces.is_empty() {
+            return Err(invalid("offchip_interfaces", "an MCM needs at least one"));
+        }
+        if let Some(&itf) = self.offchip_interfaces.iter().find(|&&i| i >= nodes) {
+            let reason = format!("chiplet {itf} is not on the {nodes}-node package");
+            return Err(invalid("offchip_interfaces", reason));
+        }
+        for (i, c) in self.chiplets.iter().enumerate() {
+            if c.num_pes == 0 {
+                return Err(invalid(
+                    format_args!("chiplets[{i}].num_pes"),
+                    "must be >= 1",
+                ));
+            }
+            let e = &c.energy;
+            for (name, x, rule) in [
+                ("freq_hz", c.freq_hz, Positive),
+                ("noc_bytes_per_cycle", c.noc_bytes_per_cycle, Positive),
+                ("energy.mac_pj", e.mac_pj, NonNegative),
+                ("energy.l1_pj_per_byte", e.l1_pj_per_byte, NonNegative),
+                ("energy.l2_pj_per_byte", e.l2_pj_per_byte, NonNegative),
+            ] {
+                rule.check(format_args!("chiplets[{i}].{name}"), x)?;
+            }
+        }
+        let (off, nop) = (&self.offchip, &self.nop);
+        for (field, x, rule) in [
+            ("offchip.bw_bytes_per_s", off.bw_bytes_per_s, Positive),
+            ("offchip.latency_s", off.latency_s, NonNegative),
+            (
+                "offchip.energy_pj_per_byte",
+                off.energy_pj_per_byte,
+                NonNegative,
+            ),
+            ("nop.bw_bytes_per_s", nop.bw_bytes_per_s, Positive),
+            ("nop.hop_latency_s", nop.hop_latency_s, NonNegative),
+            (
+                "nop.energy_pj_per_byte_hop",
+                nop.energy_pj_per_byte_hop,
+                NonNegative,
+            ),
+        ] {
+            rule.check(field, x)?;
+        }
+        if let Some(p) = self.interconnect.map(|spec| spec.params) {
+            for (name, x, rule) in [
+                ("bw_bytes_per_s", p.bw_bytes_per_s, Positive),
+                ("latency_s", p.latency_s, NonNegative),
+                ("energy_pj_per_byte", p.energy_pj_per_byte, NonNegative),
+            ] {
+                rule.check(format_args!("interconnect.params.{name}"), x)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -265,11 +414,6 @@ impl McmConfig {
     pub fn inter_mcm_transfer(&self, bytes: u64) -> crate::comm::CommCost {
         self.comm_model().inter_mcm(bytes)
     }
-
-    /// Restores internal topology caches after deserialization.
-    pub fn rebuild_caches(&mut self) {
-        self.topology.rebuild_cache();
-    }
 }
 
 impl std::fmt::Display for McmConfig {
@@ -367,8 +511,7 @@ mod tests {
             "default MCMs must serialize exactly as before the fabric tier"
         );
         // pre-fabric artifacts (no `interconnect` key) keep loading
-        let mut back = McmConfig::from_value(&serde::parse_value(&json).unwrap()).unwrap();
-        back.rebuild_caches();
+        let back = McmConfig::from_value(&serde::parse_value(&json).unwrap()).unwrap();
         assert_eq!(back, m);
         assert!(back.interconnect().is_none());
     }
@@ -379,8 +522,7 @@ mod tests {
             let m = mcm_3x3().with_interconnect(Some(spec));
             let json = serde::write_compact(&m.to_value());
             assert!(json.contains("interconnect"));
-            let mut back = McmConfig::from_value(&serde::parse_value(&json).unwrap()).unwrap();
-            back.rebuild_caches();
+            let back = McmConfig::from_value(&serde::parse_value(&json).unwrap()).unwrap();
             assert_eq!(back, m);
             assert_eq!(back.interconnect(), Some(&spec));
         }

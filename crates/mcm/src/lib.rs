@@ -7,9 +7,11 @@
 //!
 //! * [`NopTopology`] — adjacency-matrix connectivity (2-D mesh with XY
 //!   routing like Simba, the triangular topology of Figure 6, or arbitrary
-//!   user topologies), with all-pairs hop counts and route extraction.
+//!   user topologies), with all-pairs hop counts and every route laid out
+//!   once, as one tree of routes per source chiplet.
 //! * [`McmConfig`] — the package: chiplets, topology, Table II NoP/DRAM
-//!   parameters, off-chip interface placement.
+//!   parameters, off-chip interface placement. A deserialized package is
+//!   validated; [`parse::mcm_from_json`] names the offending field.
 //! * [`comm`] — the `Lat_com` communication model of §III-E (same-chiplet /
 //!   same-package / off-chip) plus a link-level congestion estimator for
 //!   the paper's δ term.

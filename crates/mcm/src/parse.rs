@@ -6,6 +6,7 @@
 //! dataflow organization, NoP bandwidth, on-chiplet memory size, etc.)*.
 //! [`McmConfig`] serializes to/from JSON to provide that interface.
 
+use crate::config::Rejection;
 use crate::McmConfig;
 use std::fmt;
 use std::fs;
@@ -18,6 +19,16 @@ pub enum McmParseError {
     Io(std::io::Error),
     /// The JSON was malformed or did not match the schema.
     Json(serde_json::Error),
+    /// The description fits the schema but names a package that cannot
+    /// exist: a topology that contradicts itself, a chiplet count off the
+    /// topology's, or a non-physical link or chiplet number.
+    Invalid {
+        /// Dotted path of the offending field (`nop.bw_bytes_per_s`,
+        /// `chiplets[2].freq_hz`, `topology`).
+        field: String,
+        /// The rule the field breaks.
+        reason: String,
+    },
 }
 
 impl fmt::Display for McmParseError {
@@ -25,6 +36,9 @@ impl fmt::Display for McmParseError {
         match self {
             McmParseError::Io(e) => write!(f, "i/o error on MCM description file: {e}"),
             McmParseError::Json(e) => write!(f, "malformed MCM description: {e}"),
+            McmParseError::Invalid { field, reason } => {
+                write!(f, "invalid MCM description: {field}: {reason}")
+            }
         }
     }
 }
@@ -34,6 +48,7 @@ impl std::error::Error for McmParseError {
         match self {
             McmParseError::Io(e) => Some(e),
             McmParseError::Json(e) => Some(e),
+            McmParseError::Invalid { .. } => None,
         }
     }
 }
@@ -59,15 +74,19 @@ pub fn mcm_to_json(mcm: &McmConfig) -> Result<String, McmParseError> {
     Ok(serde_json::to_string_pretty(mcm)?)
 }
 
-/// Parses an MCM description from JSON, rebuilding topology caches.
+/// Parses and validates an MCM description from JSON.
 ///
 /// # Errors
 ///
-/// Returns [`McmParseError::Json`] on malformed JSON.
+/// Returns [`McmParseError::Json`] on malformed JSON or a schema mismatch,
+/// and [`McmParseError::Invalid`], naming the field, on a description that
+/// cannot describe a package (see [`McmParseError::Invalid`]).
 pub fn mcm_from_json(json: &str) -> Result<McmConfig, McmParseError> {
-    let mut mcm: McmConfig = serde_json::from_str(json)?;
-    mcm.rebuild_caches();
-    Ok(mcm)
+    let value: serde_json::Value = serde_json::from_str(json)?;
+    McmConfig::decode(&value).map_err(|r| match r {
+        Rejection::Schema(e) => McmParseError::Json(e.into()),
+        Rejection::Invalid { field, reason } => McmParseError::Invalid { field, reason },
+    })
 }
 
 /// Loads an MCM description file.

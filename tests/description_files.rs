@@ -4,9 +4,11 @@
 
 use scar::core::{OptMetric, Scar, ScheduleRequest, Scheduler, SearchBudget, Session};
 use scar::maestro::{ChipletConfig, Dataflow};
-use scar::mcm::templates::{het_sides_3x3, Profile};
-use scar::mcm::{parse as mcm_parse, McmConfig, NopTopology};
+use scar::mcm::parse::McmParseError;
+use scar::mcm::templates::{self, het_sides_3x3, het_t_3x3, Profile};
+use scar::mcm::{parse as mcm_parse, InterconnectSpec, McmConfig, NopTopology};
 use scar::workloads::{parse as wl_parse, Scenario};
+use serde::{Deserialize, Serialize, Value};
 
 fn quick() -> SearchBudget {
     SearchBudget {
@@ -90,4 +92,152 @@ fn malformed_descriptions_produce_useful_errors() {
     assert!(e.to_string().contains("malformed"));
     let e = mcm_parse::mcm_from_json("not json at all").unwrap_err();
     assert!(e.to_string().contains("malformed"));
+}
+
+/// `mcm`'s description with the field at `path` (`nop.bw_bytes_per_s`,
+/// `chiplets[4].freq_hz`, `topology.adjacency[0][1]`) replaced by the JSON
+/// text `literal`, so values the serializer cannot write (`1e999`) reach
+/// the parser as written.
+fn description_with(mcm: &McmConfig, path: &str, literal: &str) -> String {
+    let mut v = mcm.to_value();
+    let mut slot = &mut v;
+    for part in path.split('.') {
+        let mut pieces = part.split('[');
+        slot = &mut slot[pieces.next().unwrap()];
+        for index in pieces {
+            slot = &mut slot[index.trim_end_matches(']').parse::<usize>().unwrap()];
+        }
+    }
+    *slot = Value::Str("__literal__".into());
+    serde_json::to_string(&v)
+        .unwrap()
+        .replace("\"__literal__\"", literal)
+}
+
+fn invalid_field(json: &str) -> String {
+    match mcm_parse::mcm_from_json(json) {
+        Err(McmParseError::Invalid { field, .. }) => field,
+        other => panic!("expected an invalid-field error, got {other:?}"),
+    }
+}
+
+/// Het-Sides with an inter-MCM fabric attached, so every numeric field of a
+/// description is present.
+fn full_description() -> McmConfig {
+    het_sides_3x3(Profile::ArVr).with_interconnect(Some(InterconnectSpec::nop()))
+}
+
+#[test]
+fn every_template_round_trips_through_a_validated_parse() {
+    let mut all = templates::all_3x3(Profile::Datacenter);
+    all.extend(templates::all_3x3(Profile::ArVr));
+    for df in Dataflow::ALL {
+        all.push(templates::simba_t_3x3(Profile::ArVr, df));
+        all.push(templates::simba_6x6(Profile::Datacenter, df));
+        all.push(templates::homo_2x2(Profile::Datacenter, df));
+        all.push(templates::homogeneous(Profile::ArVr, df, 2, 5));
+    }
+    all.push(het_t_3x3(Profile::ArVr));
+    all.push(templates::het_cross_6x6(Profile::Datacenter));
+    all.push(templates::het_2x2(Profile::Datacenter));
+    for mcm in all {
+        for spec in [
+            None,
+            Some(InterconnectSpec::nop()),
+            Some(InterconnectSpec::wireless()),
+        ] {
+            let mcm = mcm.clone().with_interconnect(spec);
+            let back = mcm_parse::mcm_from_json(&mcm_parse::mcm_to_json(&mcm).unwrap()).unwrap();
+            assert_eq!(back, mcm, "{}", mcm.name());
+        }
+    }
+}
+
+/// Each link and chiplet number, set to 0, −1 and ±1e999 (the non-finite
+/// values the JSON parser admits), is rejected naming the field, except
+/// that latencies and energies may be 0.
+#[test]
+fn non_physical_numbers_are_rejected_naming_the_field() {
+    let mcm = full_description();
+    let positive = [
+        "nop.bw_bytes_per_s",
+        "offchip.bw_bytes_per_s",
+        "interconnect.params.bw_bytes_per_s",
+        "chiplets[4].freq_hz",
+        "chiplets[4].noc_bytes_per_cycle",
+    ];
+    let non_negative = [
+        "nop.hop_latency_s",
+        "nop.energy_pj_per_byte_hop",
+        "offchip.latency_s",
+        "offchip.energy_pj_per_byte",
+        "interconnect.params.latency_s",
+        "interconnect.params.energy_pj_per_byte",
+        "chiplets[4].energy.mac_pj",
+        "chiplets[4].energy.l1_pj_per_byte",
+        "chiplets[4].energy.l2_pj_per_byte",
+    ];
+    for field in positive.iter().chain(&non_negative) {
+        for literal in ["-1", "-0.5", "1e999", "-1e999"] {
+            let json = description_with(&mcm, field, literal);
+            assert_eq!(invalid_field(&json), *field, "{field} = {literal}");
+        }
+        let zero = description_with(&mcm, field, "0");
+        if positive.contains(field) {
+            assert_eq!(invalid_field(&zero), *field, "{field} = 0");
+        } else {
+            mcm_parse::mcm_from_json(&zero).unwrap_or_else(|e| panic!("{field} = 0: {e}"));
+        }
+    }
+    // a PE count is an unsigned integer: 0 is invalid, -1 is off the schema
+    let json = description_with(&mcm, "chiplets[4].num_pes", "0");
+    assert_eq!(invalid_field(&json), "chiplets[4].num_pes");
+    let json = description_with(&mcm, "chiplets[4].num_pes", "-1");
+    assert!(matches!(
+        mcm_parse::mcm_from_json(&json),
+        Err(McmParseError::Json(_))
+    ));
+}
+
+/// A description whose parts contradict each other is rejected naming the
+/// field, never laid out: the Het-Sides mesh relabelled as 3×4 or 3×2, an
+/// asymmetric link, a triangular adjacency under a mesh kind, a chiplet
+/// count off the topology's, and off-chip interfaces that are missing or
+/// off the package.
+#[test]
+fn contradictory_descriptions_are_rejected_naming_the_field() {
+    let sides = het_sides_3x3(Profile::ArVr);
+    let eight = serde_json::to_string(&sides.chiplets()[..8].to_vec()).unwrap();
+    let cases = [
+        (&sides, "topology.kind.Mesh.cols", "4", "topology"),
+        (&sides, "topology.kind.Mesh.cols", "2", "topology"),
+        (&sides, "topology.kind.Mesh.rows", "1", "topology"),
+        (&sides, "topology.adjacency[0][1]", "false", "topology"),
+        (&sides, "topology.adjacency", "[]", "topology"),
+        (&sides, "chiplets", &eight, "chiplets"),
+        (&sides, "offchip_interfaces", "[]", "offchip_interfaces"),
+        (&sides, "offchip_interfaces", "[0, 9]", "offchip_interfaces"),
+    ];
+    for (mcm, path, literal, field) in cases {
+        let json = description_with(mcm, path, literal);
+        assert_eq!(invalid_field(&json), field, "{path} = {literal}");
+    }
+    let het_t = het_t_3x3(Profile::ArVr);
+    let mesh_kind = serde_json::to_string(&sides.to_value()["topology"]["kind"]).unwrap();
+    let json = description_with(&het_t, "topology.kind", &mesh_kind);
+    assert_eq!(invalid_field(&json), "topology");
+}
+
+/// Requests and artifacts embed MCMs, and reject them the same way.
+#[test]
+fn schedule_requests_reject_invalid_packages_naming_the_field() {
+    let request = ScheduleRequest::new(Scenario::datacenter(1), full_description());
+    let mut v = request.to_value();
+    v["mcm"]["nop"]["bw_bytes_per_s"] = Value::UInt(0);
+    let err = ScheduleRequest::from_value(&v).unwrap_err().to_string();
+    assert!(err.contains("McmConfig.nop.bw_bytes_per_s"), "{err}");
+    let mut v = request.to_value();
+    v["mcm"]["offchip_interfaces"] = Value::Array(vec![]);
+    let err = ScheduleRequest::from_value(&v).unwrap_err().to_string();
+    assert!(err.contains("McmConfig.offchip_interfaces"), "{err}");
 }
