@@ -4,16 +4,15 @@
 //! The paper reports a ~1.25× average EDP improvement rate up to
 //! nsplits = 4 and diminishing returns beyond.
 
-use scar_bench::strategy::{default_budget, Strategy};
+use scar_bench::strategy::Strategy;
 use scar_bench::table::Table;
-use scar_core::{OptMetric, Session};
+use scar_core::{OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
-fn main() {
+pub fn run(session: &Session) {
     let sc = Scenario::datacenter(4);
-    let budget = default_budget();
-    let session = Session::new();
+    let budget = SearchBudget::default();
     println!("== Ablation: nsplits sweep (Sc4, Het-Sides, EDP search) ==\n");
     let mut t = Table::new(vec![
         "nsplits".into(),
@@ -27,7 +26,7 @@ fn main() {
     for nsplits in 0..=5usize {
         let r = Strategy::HetSides
             .run(
-                &session,
+                session,
                 &sc,
                 Profile::Datacenter,
                 OptMetric::Edp,

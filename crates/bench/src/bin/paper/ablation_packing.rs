@@ -4,17 +4,15 @@
 //! The paper reports 21.8% speedup and 8.6% energy reduction for the
 //! first-fit greedy packing (Algorithm 1) over uniform distribution.
 
-use scar_bench::strategy::default_budget;
 use scar_bench::table::Table;
-use scar_core::{OptMetric, PackingRule, Scar, ScheduleRequest, Scheduler, Session};
+use scar_core::{OptMetric, PackingRule, Scar, ScheduleRequest, Scheduler, SearchBudget, Session};
 use scar_mcm::templates::{het_sides_3x3, Profile};
 use scar_workloads::Scenario;
 
-fn main() {
+pub fn run(session: &Session) {
     let sc = Scenario::datacenter(4);
     let mcm = het_sides_3x3(Profile::Datacenter);
-    let budget = default_budget();
-    let session = Session::new();
+    let budget = SearchBudget::default();
     let request = ScheduleRequest::new(sc.clone(), mcm.clone())
         .metric(OptMetric::Edp)
         .budget(budget.clone());
@@ -27,7 +25,7 @@ fn main() {
         let r = Scar::builder()
             .packing(rule)
             .build()
-            .schedule(&session, &request)
+            .schedule(session, &request)
             .expect("feasible");
         results.push((name, r.total()));
     }

@@ -9,9 +9,8 @@ use scar_maestro::Dataflow;
 use scar_mcm::templates::{het_sides_3x3, simba_3x3, Profile};
 use scar_workloads::Scenario;
 
-fn main() {
+pub fn run(session: &Session) {
     let budget = quick_budget();
-    let session = Session::new();
     println!("== Ablation: PROV rule (EDP search, Sc3-5) ==\n");
     let mut t = Table::new(vec![
         "Scenario".into(),
@@ -36,7 +35,7 @@ fn main() {
                 Scar::builder()
                     .provisioning(rule)
                     .build()
-                    .schedule(&session, &request)
+                    .schedule(session, &request)
                     .map(|r| r.total().edp())
             };
             let uniform = run(ProvisionRule::Uniform);

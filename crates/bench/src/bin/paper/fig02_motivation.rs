@@ -53,10 +53,8 @@ fn multi() -> Scenario {
     )
 }
 
-fn main() {
+pub fn run(session: &Session) {
     println!("== Figure 2: motivational study (2x2 MCM, 4096 PEs, 10 MB L2) ==\n");
-    // one session: every configuration below shares the same cost database
-    let session = Session::new();
     let request = |sc: &Scenario, mcm: scar_mcm::McmConfig| {
         ScheduleRequest::new(sc.clone(), mcm)
             .metric(OptMetric::Edp)
@@ -68,18 +66,18 @@ fn main() {
     let rn = single(resnet_block());
     let a1 = NnBaton::new()
         .schedule(
-            &session,
+            session,
             &request(&rn, homo_2x2(Profile::Datacenter, Dataflow::ShidiannaoLike)),
         )
         .expect("A1");
     let a2 = NnBaton::new()
         .schedule(
-            &session,
+            session,
             &request(&rn, homo_2x2(Profile::Datacenter, Dataflow::NvdlaLike)),
         )
         .expect("A2");
     let a3 = scar(0)
-        .schedule(&session, &request(&rn, het_2x2(Profile::Datacenter)))
+        .schedule(session, &request(&rn, het_2x2(Profile::Datacenter)))
         .expect("A3");
 
     let mut t = Table::new(vec![
@@ -114,13 +112,13 @@ fn main() {
     // (id 3), which is catastrophic for the GPT feed-forward layer.
     let mm = multi();
     let b1 = NnBaton::from_chiplet(3)
-        .schedule(&session, &request(&mm, het_2x2(Profile::Datacenter)))
+        .schedule(session, &request(&mm, het_2x2(Profile::Datacenter)))
         .expect("B1");
     let b2 = scar(0)
-        .schedule(&session, &request(&mm, het_2x2(Profile::Datacenter)))
+        .schedule(session, &request(&mm, het_2x2(Profile::Datacenter)))
         .expect("B2");
     let b3 = scar(1)
-        .schedule(&session, &request(&mm, het_2x2(Profile::Datacenter)))
+        .schedule(session, &request(&mm, het_2x2(Profile::Datacenter)))
         .expect("B3");
 
     let mut t = Table::new(vec![

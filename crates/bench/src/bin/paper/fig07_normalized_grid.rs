@@ -19,9 +19,8 @@ fn metric_value(t: &EvalTotals, which: &str) -> f64 {
     }
 }
 
-fn main() {
+pub fn run(session: &Session) {
     let budget = quick_budget();
-    let session = Session::new();
     let strategies = Strategy::table_iv();
     let scenarios = Scenario::all_datacenter();
 
@@ -35,7 +34,7 @@ fn main() {
         for sc in &scenarios {
             per_sc.push(
                 run_strategies(
-                    &session,
+                    session,
                     &strategies,
                     sc,
                     Profile::Datacenter,
@@ -44,7 +43,7 @@ fn main() {
                     &budget,
                 )
                 .into_iter()
-                .map(|r| (r.name, r.result.total()))
+                .map(|r| (r.label, r.result.total()))
                 .collect(),
             );
         }

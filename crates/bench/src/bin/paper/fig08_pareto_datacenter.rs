@@ -7,9 +7,8 @@ use scar_core::{pareto_front, CandidatePoint, OptMetric, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
-fn main() {
+pub fn run(session: &Session) {
     let budget = quick_budget();
-    let session = Session::new();
     let strategies = [
         Strategy::SimbaShi,
         Strategy::SimbaNvd,
@@ -23,7 +22,7 @@ fn main() {
             let mut clouds: Vec<(String, Vec<CandidatePoint>)> = Vec::new();
             for s in &strategies {
                 if let Ok(r) = s.run(
-                    &session,
+                    session,
                     &sc,
                     Profile::Datacenter,
                     metric.clone(),

@@ -2,24 +2,23 @@
 //! Scenario 4 (EDP search): per-window chiplet allocations and the
 //! end-to-end latency breakdown per model.
 
-use scar_bench::strategy::{default_budget, Strategy};
+use scar_bench::strategy::Strategy;
 use scar_bench::table::Table;
 use scar_core::baselines::Standalone;
-use scar_core::{OptMetric, ScheduleRequest, Scheduler, Session};
+use scar_core::{OptMetric, ScheduleRequest, Scheduler, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
-fn main() {
+pub fn run(session: &Session) {
     let sc = Scenario::datacenter(4);
-    let session = Session::new();
     let r = Strategy::HetSides
         .run(
-            &session,
+            session,
             &sc,
             Profile::Datacenter,
             OptMetric::Edp,
             4,
-            &default_budget(),
+            &SearchBudget::default(),
         )
         .expect("Sc4 on Het-Sides is feasible");
 
@@ -74,7 +73,7 @@ fn main() {
     // Table VI: per-model per-window latency + ideal (standalone) latency
     println!("\n== Table VI: end-to-end latency breakdown (seconds) ==");
     let ideal = Standalone::new()
-        .schedule(&session, &ScheduleRequest::new(sc.clone(), mcm.clone()))
+        .schedule(session, &ScheduleRequest::new(sc.clone(), mcm.clone()))
         .expect("standalone fits");
     let mut header = vec!["Model".to_string()];
     header.extend(r.windows().iter().map(|w| format!("W{}", w.index)));

@@ -7,9 +7,8 @@ use scar_core::{pareto_front, CandidatePoint, OptMetric, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
-fn main() {
+pub fn run(session: &Session) {
     let budget = quick_budget();
-    let session = Session::new();
     let strategies = [
         Strategy::SimbaShi,
         Strategy::SimbaNvd,
@@ -21,7 +20,7 @@ fn main() {
         println!("== Figure 11: {} — EDP search ==", sc.name());
         let mut clouds: Vec<(String, Vec<CandidatePoint>)> = Vec::new();
         for s in &strategies {
-            if let Ok(r) = s.run(&session, &sc, Profile::ArVr, OptMetric::Edp, 4, &budget) {
+            if let Ok(r) = s.run(session, &sc, Profile::ArVr, OptMetric::Edp, 4, &budget) {
                 clouds.push((s.name().to_string(), r.candidates().to_vec()));
             }
         }

@@ -4,15 +4,14 @@
 //! Demonstrates §V-E's topology generalization: SCAR only needs adjacency-
 //! matrix connectivity.
 
-use scar_bench::strategy::{default_budget, run_strategies, Strategy};
+use scar_bench::strategy::{run_strategies, Strategy};
 use scar_bench::table::Table;
-use scar_core::{OptMetric, Session};
+use scar_core::{OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
-fn main() {
-    let budget = default_budget();
-    let session = Session::new();
+pub fn run(session: &Session) {
+    let budget = SearchBudget::default();
     let mut strategies = vec![Strategy::StandaloneNvd];
     strategies.extend(Strategy::triangular());
 
@@ -29,7 +28,7 @@ fn main() {
         let sc = Scenario::datacenter(scn);
         cols.push(
             run_strategies(
-                &session,
+                session,
                 &strategies,
                 &sc,
                 Profile::Datacenter,
@@ -38,7 +37,7 @@ fn main() {
                 &budget,
             )
             .into_iter()
-            .map(|r| (r.name, r.result.total()))
+            .map(|r| (r.label, r.result.total()))
             .collect(),
         );
     }

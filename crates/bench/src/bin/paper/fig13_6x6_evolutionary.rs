@@ -4,16 +4,15 @@
 //! Het-Cross.
 
 use scar_bench::pareto::ascii_scatter;
-use scar_bench::strategy::{default_budget, Strategy};
+use scar_bench::strategy::Strategy;
 use scar_bench::table::Table;
-use scar_core::{pareto_front, CandidatePoint, OptMetric, Session};
+use scar_core::{pareto_front, CandidatePoint, OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
-fn main() {
+pub fn run(session: &Session) {
     let sc = Scenario::datacenter(4);
-    let budget = default_budget();
-    let session = Session::new();
+    let budget = SearchBudget::default();
     for nsplits in [2usize, 3] {
         println!("== Figure 13: 6x6 MCM, EDP search, nsplits={nsplits} ==\n");
         let mut t = Table::new(vec![
@@ -25,7 +24,7 @@ fn main() {
         let mut clouds: Vec<(String, Vec<CandidatePoint>)> = Vec::new();
         for s in Strategy::six_by_six() {
             match s.run(
-                &session,
+                session,
                 &sc,
                 Profile::Datacenter,
                 OptMetric::Edp,

@@ -4,18 +4,14 @@
 //! latency and EDP under both the Latency Search and the EDP Search
 //! (500 MHz chiplets, Table II package parameters).
 
-use scar_bench::artifacts;
-use scar_bench::strategy::{default_budget, run_strategies, Strategy};
+use scar_bench::strategy::{run_strategies, Strategy};
 use scar_bench::table::Table;
-use scar_core::{OptMetric, Session};
+use scar_core::{OptMetric, ScheduleArtifact, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
-fn main() {
-    let budget = default_budget();
-    // one session for the whole table: every strategy x scenario x metric
-    // cell reuses the same memoized layer costs
-    let session = Session::new();
+pub fn run(session: &Session) {
+    let budget = SearchBudget::default();
     let strategies = Strategy::table_iv();
     let scenarios: Vec<Scenario> = Scenario::all_datacenter();
 
@@ -40,7 +36,7 @@ fn main() {
         let mut sweep = Vec::new();
         for (si, sc) in scenarios.iter().enumerate() {
             let res = run_strategies(
-                &session,
+                session,
                 &strategies,
                 sc,
                 Profile::Datacenter,
@@ -49,14 +45,14 @@ fn main() {
                 &budget,
             );
             for r in res {
-                if let Some(pos) = strategies.iter().position(|s| s.name() == r.name) {
+                if let Some(pos) = strategies.iter().position(|s| s.name() == r.label) {
                     rows[pos][si] = Some(r.result.total());
                 }
                 sweep.push(r);
             }
         }
         let artifact_path = format!("ARTIFACT_table04_{}.json", metric.label());
-        artifacts::write_sweep(&artifact_path, &sweep).expect("write sweep artifact");
+        ScheduleArtifact::save_all(&artifact_path, &sweep).expect("write sweep artifact");
         for (pos, strat) in strategies.iter().enumerate() {
             let mut lrow = vec![strat.name().to_string()];
             let mut erow = vec![strat.name().to_string()];

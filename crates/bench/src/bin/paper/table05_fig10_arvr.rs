@@ -1,15 +1,14 @@
 //! Table V + Figure 10 — AR/VR (XRBench) EDP-search results on the 3×3
 //! MCM with 256-PE chiplets, normalized by Standalone (NVD).
 
-use scar_bench::strategy::{default_budget, run_strategies, Strategy};
+use scar_bench::strategy::{run_strategies, Strategy};
 use scar_bench::table::Table;
-use scar_core::{EvalTotals, OptMetric, Session};
+use scar_core::{EvalTotals, OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
-fn main() {
-    let budget = default_budget();
-    let session = Session::new();
+pub fn run(session: &Session) {
+    let budget = SearchBudget::default();
     let strategies = Strategy::table_iv();
     let scenarios = Scenario::all_arvr();
 
@@ -17,7 +16,7 @@ fn main() {
         vec![vec![None; scenarios.len()]; strategies.len()];
     for (si, sc) in scenarios.iter().enumerate() {
         for r in run_strategies(
-            &session,
+            session,
             &strategies,
             sc,
             Profile::ArVr,
@@ -25,7 +24,7 @@ fn main() {
             4,
             &budget,
         ) {
-            if let Some(pos) = strategies.iter().position(|s| s.name() == r.name) {
+            if let Some(pos) = strategies.iter().position(|s| s.name() == r.label) {
                 results[pos][si] = Some(r.result.total());
             }
         }

@@ -9,7 +9,8 @@
 
 use scar_core::baselines::Standalone;
 use scar_core::{
-    OptMetric, Scar, ScheduleRequest, ScheduleResult, Scheduler, SearchBudget, SearchKind, Session,
+    OptMetric, Scar, ScheduleArtifact, ScheduleRequest, ScheduleResult, Scheduler, SearchBudget,
+    SearchKind, Session,
 };
 use scar_maestro::Dataflow;
 use scar_mcm::templates::{self, Profile};
@@ -160,28 +161,14 @@ impl std::fmt::Display for Strategy {
     }
 }
 
-/// A strategy's result with its label, the request that produced it, and
-/// the answering scheduler's name *and configuration* (kept so sweeps can
-/// be persisted as JSON artifacts — see [`crate::artifacts`] — and
-/// replayed through the policy registry with the exact recorded knobs —
-/// see [`crate::replay`]).
-#[derive(Debug, Clone)]
-pub struct LabeledResult {
-    /// Strategy label.
-    pub name: String,
-    /// The [`Scheduler::name`] of the scheduler that answered.
-    pub scheduler: String,
-    /// The answering scheduler's structural configuration
-    /// ([`Scheduler::config`]).
-    pub scheduler_config: scar_core::SchedulerConfig,
-    /// The request the strategy issued.
-    pub request: ScheduleRequest,
-    /// Scheduling outcome.
-    pub result: ScheduleResult,
-}
-
 /// Runs a set of strategies on one scenario over a shared session,
 /// skipping infeasible ones.
+///
+/// Each result comes back as a [`ScheduleArtifact`] labelled with the
+/// strategy name. It records the answering [`Scheduler::name`] (a registry
+/// name) and its [`Scheduler::config`], so a sweep saved with
+/// [`ScheduleArtifact::save_all`] replays through [`crate::replay`] under
+/// the exact recorded configuration.
 pub fn run_strategies(
     session: &Session,
     strategies: &[Strategy],
@@ -190,7 +177,7 @@ pub fn run_strategies(
     metric: &OptMetric,
     nsplits: usize,
     budget: &SearchBudget,
-) -> Vec<LabeledResult> {
+) -> Vec<ScheduleArtifact> {
     strategies
         .iter()
         .filter_map(|s| {
@@ -199,21 +186,9 @@ pub fn run_strategies(
             scheduler
                 .schedule(session, &request)
                 .ok()
-                .map(|result| LabeledResult {
-                    name: s.name().to_string(),
-                    scheduler: scheduler.name().to_string(),
-                    scheduler_config: scheduler.config(),
-                    request,
-                    result,
-                })
+                .map(|result| ScheduleArtifact::of(s.name(), &*scheduler, request, result))
         })
         .collect()
-}
-
-/// The experiment-wide default budget: a balance between coverage and the
-/// wall-clock of regenerating all tables (tighten or loosen per binary).
-pub fn default_budget() -> SearchBudget {
-    SearchBudget::default()
 }
 
 /// A lighter budget for the heavyweight scans (Figure 7's 3×3 grid, the
@@ -225,5 +200,33 @@ pub fn quick_budget() -> SearchBudget {
         max_placements_per_window: 400,
         max_candidates_per_window: 800,
         ..SearchBudget::default()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweeps_record_the_answering_scheduler() {
+        let sweep = run_strategies(
+            &Session::new(),
+            &[Strategy::StandaloneNvd, Strategy::HetSides],
+            &Scenario::datacenter(1),
+            Profile::Datacenter,
+            &OptMetric::Edp,
+            1,
+            &quick_budget(),
+        );
+        let labels: Vec<&str> = sweep.iter().map(|a| a.label.as_str()).collect();
+        assert_eq!(labels, ["Stand.(NVD)", "Het-Sides"]);
+        // the scheduler field is a registry name (what replay rebuilds),
+        // not the MCM/strategy string
+        assert_eq!(sweep[0].scheduler, "Standalone");
+        assert_eq!(sweep[1].scheduler, "SCAR");
+        assert_eq!(
+            sweep[1].scheduler_config,
+            Strategy::HetSides.scheduler(1).config()
+        );
     }
 }

@@ -121,6 +121,27 @@ mod tests {
         }
     }
 
+    /// The regression this guards: evaluation silently serialized. At
+    /// `threads = 4`, 8 items run as 4 chunks on 4 distinct spawned
+    /// threads, none of them the caller's. It reads no clock, so it holds
+    /// on any host; real speedup under contention is not checked.
+    #[test]
+    fn par_map_chunks_spreads_chunks_over_spawned_threads() {
+        let items: Vec<u32> = (0..8).collect();
+        let ids = par_map_chunks(&items, 4, |xs| {
+            xs.iter().map(|_| std::thread::current().id()).collect()
+        });
+        assert_eq!(ids.len(), 8);
+        let caller = std::thread::current().id();
+        assert!(!ids.contains(&caller), "a chunk ran on the caller's thread");
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 4, "chunks shared a worker: {ids:?}");
+        // each contiguous chunk of two items ran on one worker
+        for pair in ids.chunks(2) {
+            assert_eq!(pair[0], pair[1]);
+        }
+    }
+
     #[test]
     fn par_map_chunks_handles_empty_and_tiny_inputs() {
         let empty: Vec<u32> = Vec::new();

@@ -90,6 +90,14 @@ impl SegMemo {
 /// costs, the budget caps — plus `stream_seed`, the RNG-stream identity.
 /// Seeding the sampling RNG from this key makes equal keys imply
 /// byte-equal candidate lists (modulo the stored model index).
+///
+/// The key is std's `DefaultHasher` (SipHash), not the stable
+/// `scar_hash::StableHasher`: std does not promise to keep the algorithm,
+/// and it hashes `usize` in native byte order at native width. Every
+/// schedule whose segmentation space is sampled, serving rounds included,
+/// depends on these values. A unit test pins one of them; switching the
+/// hasher moves every such schedule, pin and work count, and takes one
+/// deliberate re-pin (DESIGN.md §8).
 #[allow(clippy::too_many_arguments)]
 pub fn subproblem_key(
     scenario: &Scenario,
@@ -472,6 +480,20 @@ mod tests {
         let db = session.database();
         let e = ExpectedCosts::compute(&sc, &mcm, db);
         (sc, mcm, e)
+    }
+
+    /// Sampled segmentations are seeded from this key, so a moved value
+    /// moves every sampled schedule (see [`subproblem_key`]).
+    #[test]
+    fn subproblem_key_is_pinned() {
+        let (sc, mcm, _) = setup();
+        let key = subproblem_key(&sc, &mcm, 0, &(0..4), 2, 4, 64, 0);
+        assert_eq!(
+            key, 6_233_988_274_841_173_693,
+            "subproblem_key moved: every schedule whose segmentation space is \
+             sampled (serving rounds and PAPER_RESULTS.txt included) moved \
+             with it and needs one deliberate re-pin"
+        );
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //! * **No keying, no per-process state.** The initial state is the FNV
 //!   offset basis; equal byte streams hash equal in every process.
 //!
+//! One in-memory key still uses `DefaultHasher` and matters beyond the
+//! process: `scar_core::segmentation::subproblem_key` seeds the
+//! segmentation sampler, so sampled schedules and the serving pins
+//! depend on std's SipHash (DESIGN.md §8; a unit test pins one value).
+//!
 //! What this crate deliberately does *not* promise: stability of the byte
 //! stream a `#[derive(Hash)]` impl produces. If a hashed type gains a
 //! field or reorders variants, its fingerprint changes — that is the

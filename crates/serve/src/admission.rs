@@ -9,22 +9,23 @@
 //! already-saturated queue) is *rejected*, counted, and never scheduled,
 //! so the requests that are admitted keep meeting their deadlines.
 //!
-//! The policy is pluggable ([`AdmissionPolicy`]); three built-ins cover
-//! the paper-relevant regimes:
+//! The policy is pluggable ([`AdmissionPolicy`]); the three built-ins
+//! of [`AdmissionKind`] cover the paper-relevant regimes:
 //!
-//! * [`AcceptAll`] — the pre-admission behavior, bit-for-bit: every
-//!   arrival is queued. The no-regression default.
-//! * [`DeadlineFeasible`] — rejects a deadline-bound arrival whose
-//!   deadline cannot be met even by an *idle* accelerator, judged by a
-//!   cheap cost-database probe: the sum over the stream's layers of the
-//!   best-chiplet latency at the stream's per-request batch
+//! * [`AdmissionKind::AcceptAll`] — the pre-admission behavior,
+//!   bit-for-bit: every arrival is queued. The no-regression default.
+//! * [`AdmissionKind::DeadlineFeasible`] — rejects a deadline-bound
+//!   arrival whose deadline cannot be met even by an *idle* accelerator,
+//!   judged by a cheap cost-database probe: the sum over the stream's
+//!   layers of the best-chiplet latency at the stream's per-request batch
 //!   ([`AdmissionContext::min_service_s`]). By arrival time `now ≥
 //!   arrival`, so the bound tightens as queueing delay accumulates —
 //!   a backlogged stream starts shedding exactly when waiting has already
 //!   consumed the deadline slack. Deadline-free arrivals always pass.
-//! * [`LoadShed`] — bounds each stream's queue depth: an arrival finding
-//!   `max_queue` requests of its stream already waiting is shed. The
-//!   classic bounded-buffer policy for deadline-free overload.
+//! * [`AdmissionKind::LoadShed`] — bounds each stream's queue depth: an
+//!   arrival finding `max_queue` requests of its stream already waiting
+//!   is shed. The classic bounded-buffer policy for deadline-free
+//!   overload.
 //!
 //! Policies see only deterministic state (virtual time, queue depth, the
 //! stream, the cost probe), so serving reports remain reproducible. The
@@ -97,113 +98,79 @@ pub trait AdmissionPolicy {
     fn fingerprint_config(&self, _state: &mut dyn Hasher) {}
 }
 
-/// Every arrival is admitted — the pre-admission serving loop, bit-for-bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AcceptAll;
-
-impl AdmissionPolicy for AcceptAll {
-    fn name(&self) -> &str {
-        "accept-all"
-    }
-
-    fn admit(&mut self, _request: &Request, _ctx: &AdmissionContext<'_>) -> bool {
-        true
-    }
-}
-
-/// Rejects deadline-bound arrivals that cannot meet their deadline even on
-/// idle hardware (see the module docs). Deadline-free arrivals pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeadlineFeasible;
-
-impl AdmissionPolicy for DeadlineFeasible {
-    fn name(&self) -> &str {
-        "deadline-feasible"
-    }
-
-    fn wants_cost_probe(&self) -> bool {
-        true
-    }
-
-    fn admit(&mut self, request: &Request, ctx: &AdmissionContext<'_>) -> bool {
-        deadline_feasible(request, ctx)
-    }
-
-    /// A deadline-hopeless arrival is also not worth splicing a schedule
-    /// for — it will be rejected at ingestion anyway.
-    fn preempt_worthy(&self, request: &Request, ctx: &AdmissionContext<'_>) -> bool {
-        deadline_feasible(request, ctx)
-    }
-}
-
-/// The shared feasibility predicate: the deadline is reachable from
-/// `now` even on idle hardware. Deadline-free requests always pass, as
-/// does everything when the probe is absent (fail open: admission must
-/// never reject on missing information).
-fn deadline_feasible(request: &Request, ctx: &AdmissionContext<'_>) -> bool {
-    match (request.deadline_s, ctx.min_service_s) {
-        (Some(d), Some(min_service_s)) => d >= ctx.now_s + min_service_s,
-        _ => true,
-    }
-}
-
-/// Sheds arrivals whose stream already has `max_queue` requests waiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadShed {
-    /// Maximum queued requests per stream; an arrival beyond it is shed.
-    pub max_queue: usize,
-}
-
-impl AdmissionPolicy for LoadShed {
-    fn name(&self) -> &str {
-        "load-shed"
-    }
-
-    fn admit(&mut self, _request: &Request, ctx: &AdmissionContext<'_>) -> bool {
-        ctx.queue_depth < self.max_queue
-    }
-
-    /// An arrival the queue bound would shed right now is not worth a
-    /// splice either. At trigger time the in-flight round has already
-    /// drained the queues, so `queue_depth` is a *lower bound* on the
-    /// depth the arrival will face at ingestion — the hint errs toward
-    /// splicing, never toward suppressing a splice that would have
-    /// served an admitted request.
-    fn preempt_worthy(&self, _request: &Request, ctx: &AdmissionContext<'_>) -> bool {
-        ctx.queue_depth < self.max_queue
-    }
-
-    fn fingerprint_config(&self, mut state: &mut dyn Hasher) {
-        self.max_queue.hash(&mut state);
-    }
-}
-
-/// Configuration-level selection of a built-in policy: what
+/// The built-in admission policies: what
 /// [`ServeConfig`](crate::ServeConfig) carries (cloneable, comparable,
-/// env-parsable). Custom [`AdmissionPolicy`] implementations bypass this
-/// enum via [`ServeSim::with_admission`](crate::ServeSim::with_admission).
+/// env-parsable). Each kind is itself the [`AdmissionPolicy`] it names;
+/// custom policies bypass this enum via
+/// [`ServeSim::with_admission`](crate::ServeSim::with_admission).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionKind {
-    /// [`AcceptAll`].
+    /// Every arrival is admitted — the pre-admission serving loop,
+    /// bit-for-bit.
     #[default]
     AcceptAll,
-    /// [`DeadlineFeasible`].
+    /// Rejects deadline-bound arrivals that cannot meet their deadline even
+    /// on idle hardware (see the module docs). Deadline-free arrivals pass.
     DeadlineFeasible,
-    /// [`LoadShed`] with the given per-stream queue bound.
+    /// Sheds arrivals whose stream already has `max_queue` requests
+    /// waiting.
     LoadShed {
-        /// Maximum queued requests per stream.
+        /// Maximum queued requests per stream; an arrival beyond it is shed.
         max_queue: usize,
     },
 }
 
-impl AdmissionKind {
-    /// Builds the boxed policy this kind names.
-    pub fn policy(&self) -> Box<dyn AdmissionPolicy> {
-        match *self {
-            AdmissionKind::AcceptAll => Box::new(AcceptAll),
-            AdmissionKind::DeadlineFeasible => Box::new(DeadlineFeasible),
-            AdmissionKind::LoadShed { max_queue } => Box::new(LoadShed { max_queue }),
+impl AdmissionPolicy for AdmissionKind {
+    fn name(&self) -> &str {
+        match self {
+            AdmissionKind::AcceptAll => "accept-all",
+            AdmissionKind::DeadlineFeasible => "deadline-feasible",
+            AdmissionKind::LoadShed { .. } => "load-shed",
         }
+    }
+
+    fn admit(&mut self, request: &Request, ctx: &AdmissionContext<'_>) -> bool {
+        // stateless: the admission rule and the preemption hint are one
+        // predicate
+        self.preempt_worthy(request, ctx)
+    }
+
+    fn wants_cost_probe(&self) -> bool {
+        matches!(self, AdmissionKind::DeadlineFeasible)
+    }
+
+    /// The built-ins are stateless, so the hint is the admission rule
+    /// itself: an arrival the policy would turn away is not worth a
+    /// splice. For `LoadShed`, the in-flight round has already drained the
+    /// queues at trigger time, so `queue_depth` is a *lower bound* on the
+    /// depth the arrival will face at ingestion — the hint errs toward
+    /// splicing, never toward suppressing a splice that would have served
+    /// an admitted request.
+    fn preempt_worthy(&self, request: &Request, ctx: &AdmissionContext<'_>) -> bool {
+        match *self {
+            AdmissionKind::AcceptAll => true,
+            // fail open on a missing probe: admission must never reject
+            // on missing information
+            AdmissionKind::DeadlineFeasible => match (request.deadline_s, ctx.min_service_s) {
+                (Some(d), Some(min_service_s)) => d >= ctx.now_s + min_service_s,
+                _ => true,
+            },
+            AdmissionKind::LoadShed { max_queue } => ctx.queue_depth < max_queue,
+        }
+    }
+
+    /// Only `LoadShed` has configuration beyond its name.
+    fn fingerprint_config(&self, mut state: &mut dyn Hasher) {
+        if let AdmissionKind::LoadShed { max_queue } = self {
+            max_queue.hash(&mut state);
+        }
+    }
+}
+
+impl AdmissionKind {
+    /// The boxed policy this kind names.
+    pub fn policy(&self) -> Box<dyn AdmissionPolicy> {
+        Box::new(*self)
     }
 
     /// Parses the `SCAR_ADMISSION` spellings: `accept` (or `accept-all`),
@@ -276,7 +243,7 @@ mod tests {
     #[test]
     fn accept_all_accepts_everything() {
         let s = stream();
-        let mut p = AcceptAll;
+        let mut p = AdmissionKind::AcceptAll;
         assert!(p.admit(&request(0.0, Some(0.0)), &ctx(&s, 100.0, usize::MAX - 1)));
         assert_eq!(p.name(), "accept-all");
     }
@@ -284,7 +251,7 @@ mod tests {
     #[test]
     fn deadline_feasible_rejects_hopeless_requests_only() {
         let s = stream();
-        let mut p = DeadlineFeasible;
+        let mut p = AdmissionKind::DeadlineFeasible;
         // deadline comfortably after now + min service → admitted
         assert!(p.admit(&request(0.0, Some(0.5)), &ctx(&s, 0.0, 0)));
         // boundary: exactly feasible is admitted
@@ -302,12 +269,12 @@ mod tests {
     /// an in-flight schedule it can never benefit from.
     #[test]
     fn preempt_worthy_mirrors_predictable_rejection() {
+        use AdmissionKind::{AcceptAll, DeadlineFeasible, LoadShed};
         let s = stream();
-        let p = DeadlineFeasible;
-        assert!(p.preempt_worthy(&request(0.0, Some(0.5)), &ctx(&s, 0.0, 0)));
-        assert!(!p.preempt_worthy(&request(0.0, Some(0.019)), &ctx(&s, 0.0, 0)));
-        assert!(p.preempt_worthy(&request(0.0, None), &ctx(&s, 0.0, 0)));
-        // the default hint (AcceptAll) always says worth it
+        assert!(DeadlineFeasible.preempt_worthy(&request(0.0, Some(0.5)), &ctx(&s, 0.0, 0)));
+        assert!(!DeadlineFeasible.preempt_worthy(&request(0.0, Some(0.019)), &ctx(&s, 0.0, 0)));
+        assert!(DeadlineFeasible.preempt_worthy(&request(0.0, None), &ctx(&s, 0.0, 0)));
+        // accept-all always says worth it
         assert!(AcceptAll.preempt_worthy(&request(0.0, Some(0.0)), &ctx(&s, 1.0, 0)));
         // LoadShed mirrors its queue bound (depth at trigger time is a
         // lower bound on the depth at ingestion)
@@ -330,14 +297,14 @@ mod tests {
             stream: &s,
             min_service_s: None,
         };
-        let mut p = DeadlineFeasible;
+        let mut p = AdmissionKind::DeadlineFeasible;
         assert!(p.admit(&request(0.0, Some(0.0)), &no_probe));
     }
 
     #[test]
     fn load_shed_bounds_the_queue() {
         let s = stream();
-        let mut p = LoadShed { max_queue: 2 };
+        let mut p = AdmissionKind::LoadShed { max_queue: 2 };
         assert!(p.admit(&request(0.0, None), &ctx(&s, 0.0, 0)));
         assert!(p.admit(&request(0.0, None), &ctx(&s, 0.0, 1)));
         assert!(!p.admit(&request(0.0, None), &ctx(&s, 0.0, 2)));
@@ -346,15 +313,14 @@ mod tests {
     #[test]
     fn kinds_build_their_policies() {
         assert_eq!(AdmissionKind::default(), AdmissionKind::AcceptAll);
-        assert_eq!(AdmissionKind::AcceptAll.policy().name(), "accept-all");
-        assert_eq!(
-            AdmissionKind::DeadlineFeasible.policy().name(),
-            "deadline-feasible"
-        );
-        assert_eq!(
-            AdmissionKind::LoadShed { max_queue: 3 }.policy().name(),
-            "load-shed"
-        );
+        for (kind, name) in [
+            (AdmissionKind::AcceptAll, "accept-all"),
+            (AdmissionKind::DeadlineFeasible, "deadline-feasible"),
+            (AdmissionKind::LoadShed { max_queue: 3 }, "load-shed"),
+        ] {
+            assert_eq!(kind.name(), name);
+            assert_eq!(kind.policy().name(), name);
+        }
     }
 
     #[test]
@@ -379,20 +345,37 @@ mod tests {
         assert!(AdmissionKind::parse("fifo").is_err());
     }
 
+    /// Each kind hashes its name, and only `LoadShed` its `max_queue`:
+    /// the bytes every serve-cache key and pinned report rests on.
     #[test]
-    fn load_shed_fingerprints_its_bound() {
+    fn kinds_fingerprint_their_configuration_only() {
         use scar_hash::StableHasher;
-        use std::hash::Hasher as _;
-        let fp = |p: &dyn AdmissionPolicy| {
+        let fp = |kind: AdmissionKind| {
             let mut h = StableHasher::new();
-            std::hash::Hash::hash(p.name(), &mut h);
-            p.fingerprint_config(&mut h);
+            kind.name().hash(&mut h);
+            kind.fingerprint_config(&mut h);
             h.finish()
         };
-        assert_ne!(
-            fp(&LoadShed { max_queue: 2 }),
-            fp(&LoadShed { max_queue: 3 })
+        let expect = |name: &str, max_queue: Option<usize>| {
+            let mut h = StableHasher::new();
+            name.hash(&mut h);
+            if let Some(q) = max_queue {
+                h.write_usize(q);
+            }
+            h.finish()
+        };
+        assert_eq!(fp(AdmissionKind::AcceptAll), expect("accept-all", None));
+        assert_eq!(
+            fp(AdmissionKind::DeadlineFeasible),
+            expect("deadline-feasible", None)
         );
-        assert_ne!(fp(&AcceptAll), fp(&DeadlineFeasible));
+        assert_eq!(
+            fp(AdmissionKind::LoadShed { max_queue: 2 }),
+            expect("load-shed", Some(2))
+        );
+        assert_ne!(
+            fp(AdmissionKind::LoadShed { max_queue: 2 }),
+            fp(AdmissionKind::LoadShed { max_queue: 3 })
+        );
     }
 }

@@ -90,9 +90,7 @@ pub mod sim;
 pub mod traffic;
 pub mod zoo;
 
-pub use admission::{
-    AcceptAll, AdmissionContext, AdmissionKind, AdmissionPolicy, DeadlineFeasible, LoadShed,
-};
+pub use admission::{AdmissionContext, AdmissionKind, AdmissionPolicy};
 pub use cache::{
     fingerprint, fingerprint_parts_in_context, CacheStats, ScheduleCache, ServeContext,
 };

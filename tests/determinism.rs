@@ -1,6 +1,6 @@
 //! Parallel-evaluation determinism: the same scenario scheduled with
-//! `Parallelism::Serial`, `Fixed(2)`, and `Fixed(8)` must yield identical
-//! `ScheduleResult` totals, window reports, and candidate clouds.
+//! `Parallelism::Serial`, `Fixed(2)`, `Fixed(8)`, and `Auto` must yield
+//! identical `ScheduleResult` totals, window reports, and candidate clouds.
 //!
 //! This is the contract the window-search engine guarantees by merging
 //! batch-evaluation results in generation order (all RNG draws live on the
@@ -84,11 +84,22 @@ fn evolutionary_is_identical_across_thread_counts() {
     // evaluation scores, so any evaluation-order leak would diverge here
     let sc = Scenario::datacenter(4);
     let mcm = het_cross_6x6(Profile::Datacenter);
-    let kind = SearchKind::Evolutionary(EvoParams::default());
-    let serial = schedule(&sc, &mcm, kind.clone(), OptMetric::Edp, Parallelism::Serial);
-    for par in THREADINGS {
-        let parallel = schedule(&sc, &mcm, kind.clone(), OptMetric::Edp, par);
-        assert_identical(&serial, &parallel, &format!("evolutionary {par:?}"));
+    // the default parameters, and a serving-scale population whose large
+    // generations give the engine full batches to spread across workers
+    for params in [
+        EvoParams::default(),
+        EvoParams {
+            population: 24,
+            generations: 6,
+            mutation_rate: 0.3,
+        },
+    ] {
+        let kind = SearchKind::Evolutionary(params);
+        let serial = schedule(&sc, &mcm, kind.clone(), OptMetric::Edp, Parallelism::Serial);
+        for par in THREADINGS.into_iter().chain([Parallelism::Auto]) {
+            let parallel = schedule(&sc, &mcm, kind.clone(), OptMetric::Edp, par);
+            assert_identical(&serial, &parallel, &format!("{params:?} {par:?}"));
+        }
     }
 }
 

@@ -154,9 +154,11 @@ fn pipelining_beats_standalone_for_batched_vision_models() {
 
 /// §V-E ablation: both packing rules produce valid schedules of the same
 /// magnitude. (Note: the paper reports greedy ahead of uniform by ~22% in
-/// latency; in this reproduction the ordering varies with the search
-/// budget and can invert — see EXPERIMENTS.md. The invariant pinned here
-/// is validity plus same-order-of-magnitude EDP.)
+/// latency; in this reproduction greedy is slower — see the
+/// `ablation_packing` section of `PAPER_RESULTS.txt`, and ROADMAP item 1,
+/// whose probe found greedy slower in 6 of 6 seeds at both the default and
+/// 4× budgets. The invariant pinned here is validity plus
+/// same-order-of-magnitude EDP.)
 #[test]
 fn packing_rules_both_produce_comparable_schedules() {
     let sc = Scenario::datacenter(4);
