@@ -10,8 +10,8 @@
 //! cargo run --release -p scar-bench --bin zoo -- --names # names only
 //! ```
 //!
-//! Any policy named here can be selected in the serving simulator with
-//! `SCAR_POLICY=<name>` or a `SCAR_POLICY_FILE` JSON file, and every
+//! Any policy named here can be selected in the serving simulator with a
+//! `SCAR_POLICY_FILE` JSON file (`{"policy": "<name>"}`), and every
 //! serving artifact it records replays exactly through the same registry
 //! (`--bin replay`). The rendered table also lives in DESIGN.md §14.
 

@@ -298,7 +298,8 @@ impl ScheduleRequest {
 
 /// Hand-written (instead of derived) so that a request recorded before
 /// `trace_tag` existed keeps loading. The MCM validates itself and builds
-/// its routes as it deserializes.
+/// its routes as it deserializes; the scenario is validated
+/// ([`Scenario::validate`]) before it can reach a search.
 impl Deserialize for ScheduleRequest {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let obj = v
@@ -312,8 +313,12 @@ impl Deserialize for ScheduleRequest {
                 .map_err(|e| serde::DeError::msg(format!("ScheduleRequest.trace_tag: {e}")))?,
             None => None,
         };
+        let scenario: Scenario = serde::__field(obj, "scenario", "ScheduleRequest")?;
+        scenario
+            .validate()
+            .map_err(|e| serde::DeError::msg(format!("ScheduleRequest.scenario: {e}")))?;
         Ok(Self {
-            scenario: serde::__field(obj, "scenario", "ScheduleRequest")?,
+            scenario,
             mcm,
             metric: serde::__field(obj, "metric", "ScheduleRequest")?,
             budget: serde::__field(obj, "budget", "ScheduleRequest")?,

@@ -43,8 +43,8 @@
 //! fingerprint instead, so snapshots taken under modified energy models
 //! should not be shared across configurations.
 //!
-//! The package *interconnect* (`scar-mcm`'s `InterconnectSpec` / tiered
-//! `CommModel`) deliberately does **not** participate in this
+//! The package *interconnect* (`scar-mcm`'s `InterconnectSpec`)
+//! deliberately does **not** participate in this
 //! fingerprint: cost-database entries are compute-only — keyed on
 //! (chiplet class, layer, batch) and produced by the roofline model —
 //! while communication is priced per-schedule from the live topology at

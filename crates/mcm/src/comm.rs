@@ -6,6 +6,7 @@
 //! as the reference the dense ledger must match bit for bit.
 
 use crate::config::McmConfig;
+use crate::fabric::FabricKind;
 use crate::topology::ChipletId;
 use serde::{Deserialize, Serialize};
 
@@ -48,21 +49,56 @@ impl McmConfig {
     /// from the full set of concurrent flows (pass `0.0` for an
     /// uncontended estimate).
     ///
-    /// Tier resolution (hop counts) happens here; pricing is delegated to
-    /// the package's [`crate::fabric::CommModel`], whose default
-    /// `NopFabric` reproduces the historical inline math byte-for-byte
-    /// (pinned by this module's tests and `tests/comm_model.rs`).
+    /// An attached [`FabricKind::Wireless`] fabric swaps the NoP walk for
+    /// its single-hop medium: no per-hop term on the package, and one
+    /// wireless hop to the DRAM interface, whose port stays wired. Without
+    /// one (or with the electrical [`FabricKind::Nop`]) the prices are
+    /// Table II's (pinned by this module's tests and
+    /// `tests/comm_model.rs`).
     pub fn transfer_with_delta(&self, src: Loc, dst: Loc, bytes: u64, delta_s: f64) -> CommCost {
-        let model = self.comm_model();
+        let b = bytes as f64;
+        let (nop, offchip) = (&self.nop, &self.offchip);
+        let wireless = self
+            .interconnect()
+            .filter(|spec| spec.kind == FabricKind::Wireless)
+            .map(|spec| spec.params);
         match (src, dst) {
             (Loc::Chiplet(a), Loc::Chiplet(c)) if a == c => CommCost::ZERO,
             (Loc::Chiplet(a), Loc::Chiplet(c)) => {
                 let hops = self.topology().hops(a, c) as f64;
-                model.on_package(bytes, hops, delta_s)
+                match wireless {
+                    None => CommCost {
+                        time_s: b / nop.bw_bytes_per_s + hops * nop.hop_latency_s + delta_s,
+                        energy_j: b * hops * nop.energy_pj_per_byte_hop * 1e-12,
+                    },
+                    Some(link) => CommCost {
+                        time_s: b / link.bw_bytes_per_s + link.latency_s + delta_s,
+                        energy_j: b * link.energy_pj_per_byte * 1e-12,
+                    },
+                }
             }
             (Loc::Chiplet(a), Loc::Offchip) | (Loc::Offchip, Loc::Chiplet(a)) => {
-                let (_, hops) = self.nearest_interface(a);
-                model.off_chip(bytes, hops as f64, delta_s)
+                let hops = self.nearest_interface(a).1 as f64;
+                match wireless {
+                    None => CommCost {
+                        time_s: b / offchip.bw_bytes_per_s
+                            + hops * nop.hop_latency_s
+                            + offchip.latency_s
+                            + delta_s,
+                        energy_j: b
+                            * (offchip.energy_pj_per_byte + hops * nop.energy_pj_per_byte_hop)
+                            * 1e-12,
+                    },
+                    Some(link) => CommCost {
+                        time_s: b / offchip.bw_bytes_per_s
+                            + link.latency_s
+                            + offchip.latency_s
+                            + delta_s,
+                        energy_j: b
+                            * (offchip.energy_pj_per_byte + link.energy_pj_per_byte)
+                            * 1e-12,
+                    },
+                }
             }
             // data already resident off-chip: nothing moves
             (Loc::Offchip, Loc::Offchip) => CommCost::ZERO,

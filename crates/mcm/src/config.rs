@@ -1,6 +1,6 @@
 //! The MCM package description (Definition 3).
 
-use crate::fabric::{CommModel, InterconnectSpec};
+use crate::fabric::InterconnectSpec;
 use crate::topology::{ChipletId, NopTopology};
 use scar_maestro::{ChipletConfig, Dataflow};
 use serde::{Deserialize, Serialize, Value};
@@ -382,37 +382,14 @@ impl McmConfig {
         self
     }
 
-    /// The tiered [`CommModel`] pricing this package's transfers: the
-    /// electrical `NopFabric` from Table II parameters when no
-    /// [`InterconnectSpec`] is attached (or a `Nop`-kind one is), the
-    /// `WirelessFabric` when a wireless spec is attached.
-    pub fn comm_model(&self) -> CommModel {
-        use crate::fabric::FabricKind;
-        match &self.interconnect {
-            None => CommModel::NopFabric {
-                nop: self.nop,
-                offchip: self.offchip,
-                inter: None,
-            },
-            Some(spec) => match spec.kind {
-                FabricKind::Nop => CommModel::NopFabric {
-                    nop: self.nop,
-                    offchip: self.offchip,
-                    inter: Some(spec.params),
-                },
-                FabricKind::Wireless => CommModel::WirelessFabric {
-                    link: spec.params,
-                    offchip: self.offchip,
-                },
-            },
-        }
-    }
-
-    /// Cost of pulling `bytes` into this package from a peer MCM — the
-    /// [`CommModel::inter_mcm`] tier. Zero (the legacy behaviour) when no
-    /// fabric is attached.
+    /// Cost of pulling `bytes` into this package from a peer MCM: the
+    /// attached fabric's link price, or zero (the legacy behaviour) when
+    /// no fabric is attached.
     pub fn inter_mcm_transfer(&self, bytes: u64) -> crate::comm::CommCost {
-        self.comm_model().inter_mcm(bytes)
+        match &self.interconnect {
+            None => crate::comm::CommCost::ZERO,
+            Some(spec) => spec.params.transfer(bytes),
+        }
     }
 }
 
@@ -529,19 +506,24 @@ mod tests {
     }
 
     #[test]
-    fn comm_model_tracks_the_attached_fabric() {
+    fn the_attached_fabric_prices_the_tiers() {
+        use crate::comm::Loc;
         let m = mcm_3x3();
-        assert_eq!(m.comm_model().name(), "nop");
-        assert!(!m.comm_model().prices_inter_mcm());
+        let hop = |m: &McmConfig| m.transfer(Loc::Chiplet(0), Loc::Chiplet(1), 1 << 20);
         assert_eq!(m.inter_mcm_transfer(1 << 30).time_s, 0.0);
 
+        // the electrical fabric prices the inter-MCM tier and leaves the
+        // package's own tiers at Table II
         let nop = m.clone().with_interconnect(Some(InterconnectSpec::nop()));
-        assert_eq!(nop.comm_model().name(), "nop");
-        assert!(nop.comm_model().prices_inter_mcm());
+        assert_eq!(hop(&nop), hop(&m));
         assert!(nop.inter_mcm_transfer(1 << 20).time_s > 0.0);
 
-        let w = m.with_interconnect(Some(InterconnectSpec::wireless()));
-        assert_eq!(w.comm_model().name(), "wireless");
+        // the wireless fabric prices both, with one link
+        let w = m
+            .clone()
+            .with_interconnect(Some(InterconnectSpec::wireless()));
+        assert_ne!(hop(&w), hop(&m));
+        assert_eq!(hop(&w).energy_j, w.inter_mcm_transfer(1 << 20).energy_j);
         assert!(w.inter_mcm_transfer(1 << 20).energy_j > 0.0);
     }
 }

@@ -1,25 +1,25 @@
-//! Tiered communication fabrics: §III-E's `Lat_com` lifted into a
-//! swappable [`CommModel`].
+//! Inter-MCM fabrics: the [`InterconnectSpec`] that prices §III-E's
+//! `Lat_com` tiers beyond Table II.
 //!
 //! The paper's communication cost is a three-tier ladder — intra-chiplet
 //! (free), on-package NoP, off-chip DRAM — hard-wired into Table II's
 //! electrical parameters. The communication-characterization literature
 //! (Musavi et al.) argues the tier structure, not the constants, is the
 //! invariant: inter-chip traffic dominates at multi-chiplet scale and each
-//! tier must be priced by *its* fabric. This module enum-dispatches the
-//! pricing of every rung — intra-chiplet, on-package, off-chip and
-//! inter-MCM — through one [`CommModel`]:
+//! tier must be priced by *its* fabric. A package prices every rung —
+//! intra-chiplet, on-package, off-chip and inter-MCM — from its own fields
+//! ([`crate::McmConfig::transfer_with_delta`],
+//! [`crate::McmConfig::inter_mcm_transfer`]), and the attached spec's
+//! [`FabricKind`] picks the fabric:
 //!
-//! * [`CommModel::NopFabric`] — the electrical baseline. Its on-package
-//!   and off-chip arms are byte-for-byte the math that used to live inline
-//!   in `McmConfig::transfer_with_delta` (pinned by the tests in
+//! * [`FabricKind::Nop`] — the electrical baseline. Its on-package and
+//!   off-chip prices are Table II's (pinned by the tests in
 //!   [`crate::comm`] and `tests/comm_model.rs`), and its **inter-MCM**
-//!   tier, when enabled, prices a package-to-package transfer as two
-//!   DRAM-class SerDes crossings (write out of one package, read into the
-//!   other).
-//! * [`CommModel::WirelessFabric`] — a what-if fabric parameterized from
-//!   the wireless multi-chip interconnect literature (Irabor et al.):
-//!   a single-hop shared medium with flat latency (no per-hop charge, no
+//!   tier prices a package-to-package transfer as two DRAM-class SerDes
+//!   crossings (write out of one package, read into the other).
+//! * [`FabricKind::Wireless`] — a what-if fabric parameterized from the
+//!   wireless multi-chip interconnect literature (Irabor et al.): a
+//!   single-hop shared medium with flat latency (no per-hop charge, no
 //!   routing), lower bandwidth than wired NoP, and the same link pricing
 //!   on-package and between packages — the wireless argument being that
 //!   package escape is free.
@@ -31,7 +31,7 @@
 //! schedule-cache fingerprints.
 
 use crate::comm::CommCost;
-use crate::config::{NopConfig, OffchipConfig};
+use crate::config::OffchipConfig;
 use serde::{Deserialize, Serialize};
 
 /// Bandwidth / latency / energy of one point-to-point fabric link.
@@ -142,158 +142,53 @@ impl InterconnectSpec {
     }
 }
 
-/// The tiered communication model: every rung of the ladder priced by one
-/// fabric.
-///
-/// Built by [`crate::McmConfig::comm_model`] from the package's link
-/// parameters plus its optional [`InterconnectSpec`]; all variants are
-/// `Copy`-cheap bundles of constants, so constructing one per transfer is
-/// free in practice.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CommModel {
-    /// Electrical baseline: Table II NoP + DRAM, optional SerDes
-    /// inter-MCM tier (`None` = legacy zero-cost tier).
-    NopFabric {
-        /// On-package NoP link parameters.
-        nop: NopConfig,
-        /// Off-chip DRAM interface parameters.
-        offchip: OffchipConfig,
-        /// Inter-MCM SerDes link; `None` keeps that tier free.
-        inter: Option<FabricParams>,
-    },
-    /// Wireless shared medium on-package and between packages; DRAM
-    /// access itself stays wired.
-    WirelessFabric {
-        /// The wireless medium's link parameters.
-        link: FabricParams,
-        /// Off-chip DRAM interface parameters (still electrical).
-        offchip: OffchipConfig,
-    },
-}
-
-impl CommModel {
-    /// The fabric's short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CommModel::NopFabric { .. } => "nop",
-            CommModel::WirelessFabric { .. } => "wireless",
-        }
-    }
-
-    /// Tier 2 — chiplet-to-chiplet across `hops` package links, with the
-    /// NoP-conflict term `delta_s` (δ) already resolved by the caller.
-    pub fn on_package(&self, bytes: u64, hops: f64, delta_s: f64) -> CommCost {
-        let b = bytes as f64;
-        match self {
-            CommModel::NopFabric { nop, .. } => CommCost {
-                time_s: b / nop.bw_bytes_per_s + hops * nop.hop_latency_s + delta_s,
-                energy_j: b * hops * nop.energy_pj_per_byte_hop * 1e-12,
-            },
-            // wireless is a single-hop broadcast medium: hop count is
-            // irrelevant, latency is flat
-            CommModel::WirelessFabric { link, .. } => CommCost {
-                time_s: b / link.bw_bytes_per_s + link.latency_s + delta_s,
-                energy_j: b * link.energy_pj_per_byte * 1e-12,
-            },
-        }
-    }
-
-    /// Tier 3 — through a side interface `hops` links away into off-chip
-    /// DRAM.
-    pub fn off_chip(&self, bytes: u64, hops: f64, delta_s: f64) -> CommCost {
-        let b = bytes as f64;
-        match self {
-            CommModel::NopFabric { nop, offchip, .. } => CommCost {
-                time_s: b / offchip.bw_bytes_per_s
-                    + hops * nop.hop_latency_s
-                    + offchip.latency_s
-                    + delta_s,
-                energy_j: b
-                    * (offchip.energy_pj_per_byte + hops * nop.energy_pj_per_byte_hop)
-                    * 1e-12,
-            },
-            // the wireless hop replaces the NoP walk to the interface;
-            // DRAM port bandwidth/latency/energy stay wired
-            CommModel::WirelessFabric { link, offchip } => CommCost {
-                time_s: b / offchip.bw_bytes_per_s + link.latency_s + offchip.latency_s + delta_s,
-                energy_j: b * (offchip.energy_pj_per_byte + link.energy_pj_per_byte) * 1e-12,
-            },
-        }
-    }
-
-    /// Tier 4 — package-to-package. [`CommCost::ZERO`] when the model has
-    /// no inter-MCM fabric (the legacy default).
-    pub fn inter_mcm(&self, bytes: u64) -> CommCost {
-        match self {
-            CommModel::NopFabric { inter: None, .. } => CommCost::ZERO,
-            CommModel::NopFabric {
-                inter: Some(link), ..
-            }
-            | CommModel::WirelessFabric { link, .. } => link.transfer(bytes),
-        }
-    }
-
-    /// Whether the inter-MCM tier carries a real cost.
-    pub fn prices_inter_mcm(&self) -> bool {
-        !matches!(self, CommModel::NopFabric { inter: None, .. })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::comm::Loc;
+    use crate::templates::{het_sides_3x3, Profile};
+    use crate::McmConfig;
+
+    /// Het-Sides (a 3×3 mesh with Table II links and interfaces on both
+    /// side columns) under `spec`.
+    fn package(spec: Option<InterconnectSpec>) -> McmConfig {
+        het_sides_3x3(Profile::Datacenter).with_interconnect(spec)
+    }
+
     #[test]
     fn nop_fabric_matches_table_ii_math() {
-        let m = CommModel::NopFabric {
-            nop: NopConfig::default(),
-            offchip: OffchipConfig::default(),
-            inter: None,
-        };
-        let c = m.on_package(1_000_000, 4.0, 0.0);
-        assert!((c.time_s - (1_000_000.0 / 100e9 + 4.0 * 35e-9)).abs() < 1e-12);
-        assert!((c.energy_j - 1_000_000.0 * 4.0 * 16.32e-12).abs() < 1e-15);
-        let off = m.off_chip(64_000, 1.0, 0.0);
-        assert!((off.time_s - (64_000.0 / 64e9 + 35e-9 + 200e-9)).abs() < 1e-12);
+        for m in [package(None), package(Some(InterconnectSpec::nop()))] {
+            assert_eq!(m.topology().hops(0, 8), 4);
+            let c = m.transfer(Loc::Chiplet(0), Loc::Chiplet(8), 1_000_000);
+            assert!((c.time_s - (1_000_000.0 / 100e9 + 4.0 * 35e-9)).abs() < 1e-12);
+            assert!((c.energy_j - 1_000_000.0 * 4.0 * 16.32e-12).abs() < 1e-15);
+            // the centre chiplet is one hop from its nearest interface
+            let off = m.transfer(Loc::Chiplet(4), Loc::Offchip, 64_000);
+            assert!((off.time_s - (64_000.0 / 64e9 + 35e-9 + 200e-9)).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn legacy_inter_mcm_tier_is_free() {
-        let m = CommModel::NopFabric {
-            nop: NopConfig::default(),
-            offchip: OffchipConfig::default(),
-            inter: None,
-        };
-        assert_eq!(m.inter_mcm(1 << 30), CommCost::ZERO);
-        assert!(!m.prices_inter_mcm());
+        assert_eq!(package(None).inter_mcm_transfer(1 << 30), CommCost::ZERO);
     }
 
     #[test]
     fn nop_inter_mcm_is_two_serdes_crossings() {
-        let spec = InterconnectSpec::nop();
-        let m = CommModel::NopFabric {
-            nop: NopConfig::default(),
-            offchip: OffchipConfig::default(),
-            inter: Some(spec.params),
-        };
-        let c = m.inter_mcm(64_000);
+        let c = package(Some(InterconnectSpec::nop())).inter_mcm_transfer(64_000);
         assert!((c.time_s - (64_000.0 / 64e9 + 400e-9)).abs() < 1e-12);
         assert!((c.energy_j - 64_000.0 * 236.8e-12).abs() < 1e-15);
-        assert!(m.prices_inter_mcm());
     }
 
     #[test]
     fn wireless_is_hop_flat() {
-        let spec = InterconnectSpec::wireless();
-        let m = CommModel::WirelessFabric {
-            link: spec.params,
-            offchip: OffchipConfig::default(),
-        };
-        let near = m.on_package(1 << 20, 1.0, 0.0);
-        let far = m.on_package(1 << 20, 7.0, 0.0);
+        let m = package(Some(InterconnectSpec::wireless()));
+        let near = m.transfer(Loc::Chiplet(0), Loc::Chiplet(1), 1 << 20);
+        let far = m.transfer(Loc::Chiplet(0), Loc::Chiplet(8), 1 << 20);
         assert_eq!(near, far, "wireless charges no per-hop term");
         // and the inter-MCM tier prices exactly like one on-package hop
-        assert!((m.inter_mcm(1 << 20).time_s - near.time_s).abs() < 1e-15);
+        assert!((m.inter_mcm_transfer(1 << 20).time_s - near.time_s).abs() < 1e-15);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * [`comm`] — the `Lat_com` communication model of §III-E (same-chiplet /
 //!   same-package / off-chip) plus a link-level congestion estimator for
 //!   the paper's δ term.
-//! * [`fabric`] — the tiered [`CommModel`] behind `Lat_com`: the
-//!   electrical `NopFabric` default, a wireless what-if fabric, and the
-//!   optional inter-MCM tier ([`InterconnectSpec`]) that fleet dispatch
+//! * [`fabric`] — the optional [`InterconnectSpec`] that prices
+//!   `Lat_com`'s tiers beyond Table II: the electrical NoP fabric, a
+//!   wireless what-if fabric, and the inter-MCM tier that fleet dispatch
 //!   prices stream migrations through.
 //! * [`templates`] — every MCM organization of Figure 6.
 //!
@@ -46,5 +46,5 @@ mod topology;
 
 pub use comm::{CommCost, LinkLoads, Loc};
 pub use config::{McmConfig, NopConfig, OffchipConfig};
-pub use fabric::{CommModel, FabricKind, FabricParams, InterconnectSpec};
+pub use fabric::{FabricKind, FabricParams, InterconnectSpec};
 pub use topology::{ChipletId, NopTopology, TopologyError};

@@ -9,12 +9,11 @@
 //! cannot drift apart. [`render_catalog`] prints the cards (the `zoo`
 //! bench bin), and DESIGN.md §14 carries the same catalog as a table.
 //!
-//! The config-file front end ([`PolicyFile`]) layers **under** the
-//! `SCAR_POLICY` environment knob: a JSON file names the policy and
-//! optional `SchedulerConfig`-shaped structural overrides
-//! (`nsplits`, `search`), the environment variable — when set — still
-//! wins for the policy name. Unknown policy names fail with the
-//! registry's [`UnknownPolicy`] error, which lists every registered name.
+//! The config-file front end ([`PolicyFile`]) is the one way to pick a
+//! serving policy by name: a JSON file names the policy and optional
+//! `SchedulerConfig`-shaped structural overrides (`nsplits`, `search`).
+//! Unknown policy names fail with the registry's [`UnknownPolicy`] error,
+//! which lists every registered name.
 //! A recorded artifact's scheduler name and configuration form a policy
 //! file too: replay rebuilds every scheduler through [`PolicyFile`].
 
@@ -133,9 +132,7 @@ pub fn render_catalog() -> String {
 /// `{"Evolutionary": {"population": 10, "generations": 4,
 /// "mutation_rate": 0.3}}`) plus the human aliases `"brute"` and
 /// `"evolutionary"` (default parameters). Omitted fields override
-/// nothing. The `SCAR_POLICY` environment knob, when set, takes
-/// precedence over the file's `policy` — config files configure,
-/// environments experiment.
+/// nothing, so `{ "policy": "NSGA-SCAR" }` is a whole file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyFile {
     /// The registry name to build.

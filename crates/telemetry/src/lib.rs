@@ -2,10 +2,10 @@
 //!
 //! Three pieces, one handle:
 //!
-//! * **Spans** — [`Telemetry::span`] (or the [`span!`] macro) opens an
-//!   RAII guard; dropping it records a wall-clock interval. Spans carry
-//!   `&'static str` names from a fixed taxonomy (see [`phase_of`]) plus
-//!   optional key/value args, and serialize to Chrome `trace_event` JSON
+//! * **Spans** — [`Telemetry::span`] opens an RAII guard; dropping it
+//!   records a wall-clock interval. Spans carry `&'static str` names from
+//!   a fixed taxonomy (see [`phase_of`]) plus optional key/value args
+//!   ([`SpanGuard::arg`]), and serialize to Chrome `trace_event` JSON
 //!   ([`Telemetry::trace_json`]) loadable in Perfetto/chrome://tracing.
 //!   Complete spans (`"ph": "X"`) are the only timeline events.
 //! * **Metrics** — a registry of named counters ([`Telemetry::count`]),
@@ -31,11 +31,11 @@
 //! # Example
 //!
 //! ```
-//! use scar_telemetry::{span, Telemetry};
+//! use scar_telemetry::Telemetry;
 //!
 //! let tel = Telemetry::enabled(true, true);
 //! {
-//!     let mut g = span!(tel, "search.generation", window = 0u64);
+//!     let mut g = tel.span("search.generation").arg("window", 0u64);
 //!     g.push_arg("candidates", 42u64);
 //! } // guard drop records the span
 //! tel.count("serve.cache.hits", 1);
@@ -43,7 +43,7 @@
 //! assert!(tel.trace_json().unwrap().contains("search.generation"));
 //!
 //! let off = Telemetry::disabled();
-//! let _g = span!(off, "search.generation"); // no clock read, no alloc
+//! let _g = off.span("search.generation"); // no clock read, no alloc
 //! assert_eq!(off.spans_recorded(), 0);
 //! ```
 
@@ -184,15 +184,15 @@ pub struct Histogram {
     pub sum: f64,
 }
 
-/// Default histogram bounds: powers of two, sized for queue depths and
+/// Every histogram's bounds: powers of two, sized for queue depths and
 /// per-round candidate counts.
-pub const DEFAULT_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
+const DEFAULT_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
 impl Histogram {
-    fn with_bounds(bounds: &[f64]) -> Self {
+    fn new() -> Self {
         Self {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
+            bounds: DEFAULT_BUCKETS.to_vec(),
+            counts: vec![0; DEFAULT_BUCKETS.len() + 1],
             count: 0,
             sum: 0.0,
         }
@@ -344,23 +344,16 @@ impl Telemetry {
         }
     }
 
-    /// Records `value` into the named fixed-bucket histogram
-    /// ([`DEFAULT_BUCKETS`]; the bucket layout of an existing histogram
-    /// is kept).
+    /// Records `value` into the named fixed-bucket histogram (bounds 1, 2,
+    /// 4, … 128, then an overflow bucket).
     pub fn observe(&self, name: &'static str, value: f64) {
-        self.observe_with(name, value, &DEFAULT_BUCKETS);
-    }
-
-    /// Records `value` into the named histogram, creating it with the
-    /// given bounds on first use.
-    pub fn observe_with(&self, name: &'static str, value: f64, bounds: &[f64]) {
         if let Some(inner) = self.0.as_deref() {
             if inner.metrics {
                 inner
                     .lock()
                     .histograms
                     .entry(name)
-                    .or_insert_with(|| Histogram::with_bounds(bounds))
+                    .or_insert_with(Histogram::new)
                     .observe(value);
             }
         }
@@ -642,17 +635,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Opens a span with optional `key = value` args:
-/// `span!(tel, "search.window", window = i)`. Expands to
-/// [`Telemetry::span`] + [`SpanGuard::arg`]; bind the result (`let _g =`)
-/// so the guard lives to the end of the scope.
-#[macro_export]
-macro_rules! span {
-    ($tel:expr, $name:expr $(, $k:ident = $v:expr)* $(,)?) => {
-        $tel.span($name)$(.arg(stringify!($k), $v))*
-    };
-}
-
 // ---------------------------------------------------------------------------
 // Trace analysis (shared by the `trace_check` CI gate and the tests)
 // ---------------------------------------------------------------------------
@@ -809,7 +791,7 @@ mod tests {
         let tel = Telemetry::disabled();
         assert!(!tel.is_enabled());
         {
-            let mut g = span!(tel, "search.generation", window = 3u64);
+            let mut g = tel.span("search.generation").arg("window", 3u64);
             g.push_arg("candidates", 9u64);
             assert!(!g.is_recording());
         }
@@ -828,7 +810,7 @@ mod tests {
     fn spans_record_wall_and_trace() {
         let tel = Telemetry::enabled(true, true);
         {
-            let _g = span!(tel, "search.evaluation", batch = 4u64);
+            let _g = tel.span("search.evaluation").arg("batch", 4u64);
         }
         {
             let _g = tel.span("serve.run");

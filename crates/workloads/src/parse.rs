@@ -18,7 +18,7 @@
 //! # }
 //! ```
 
-use crate::{Model, Scenario};
+use crate::{LayerKind, Model, Scenario};
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -30,8 +30,23 @@ pub enum ParseError {
     Io(std::io::Error),
     /// The JSON was malformed or did not match the schema.
     Json(serde_json::Error),
-    /// The description violated a structural invariant (e.g. empty model).
-    Invalid(String),
+    /// The description fits the schema but names a workload that cannot
+    /// be scheduled: a scenario with no models, a zero batch, a model
+    /// with no layers, or a zero stride or group count.
+    Invalid {
+        /// Dotted path of the offending field
+        /// (`models[0].model.layers[3].kind.Conv2d.stride`).
+        field: String,
+        /// The rule the field breaks, naming the model and the layer.
+        reason: String,
+    },
+}
+
+fn invalid(field: impl fmt::Display, reason: impl fmt::Display) -> ParseError {
+    ParseError::Invalid {
+        field: field.to_string(),
+        reason: reason.to_string(),
+    }
 }
 
 impl fmt::Display for ParseError {
@@ -39,7 +54,9 @@ impl fmt::Display for ParseError {
         match self {
             ParseError::Io(e) => write!(f, "i/o error reading description file: {e}"),
             ParseError::Json(e) => write!(f, "malformed workload description: {e}"),
-            ParseError::Invalid(msg) => write!(f, "invalid workload description: {msg}"),
+            ParseError::Invalid { field, reason } => {
+                write!(f, "invalid workload description: {field}: {reason}")
+            }
         }
     }
 }
@@ -49,7 +66,7 @@ impl std::error::Error for ParseError {
         match self {
             ParseError::Io(e) => Some(e),
             ParseError::Json(e) => Some(e),
-            ParseError::Invalid(_) => None,
+            ParseError::Invalid { .. } => None,
         }
     }
 }
@@ -66,6 +83,70 @@ impl From<serde_json::Error> for ParseError {
     }
 }
 
+impl Model {
+    /// The checks a deserialized model passes: at least one layer (which
+    /// [`Model::new`] asserts), and no zero stride or group count (the
+    /// divisors of a layer's shape arithmetic).
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::Invalid`], naming the field
+    /// (`layers[0].kind.Conv2d.stride`), the model and the layer.
+    pub fn validate(&self) -> Result<(), ParseError> {
+        self.validate_at("")
+    }
+
+    /// [`Model::validate`] with every field path prefixed by `at`.
+    fn validate_at(&self, at: &str) -> Result<(), ParseError> {
+        let model = self.name();
+        if self.layers().is_empty() {
+            return Err(invalid(
+                format_args!("{at}layers"),
+                format_args!("model {model:?} has no layers"),
+            ));
+        }
+        for (j, layer) in self.layers().iter().enumerate() {
+            let zero = match layer.kind {
+                LayerKind::Conv2d { stride: 0, .. } => "Conv2d.stride",
+                LayerKind::Conv2d { groups: 0, .. } => "Conv2d.groups",
+                LayerKind::Pool2d { stride: 0, .. } => "Pool2d.stride",
+                _ => continue,
+            };
+            return Err(invalid(
+                format_args!("{at}layers[{j}].kind.{zero}"),
+                format_args!("must be >= 1 (model {model:?}, layer {:?})", layer.name),
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl Scenario {
+    /// The checks a deserialized scenario passes, which
+    /// [`Scenario::new`] asserts: at least one model, no zero batch, and
+    /// every model valid ([`Model::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::Invalid`], naming the field (`models[1].batch`), the
+    /// model and, for a layer's fields, the layer.
+    pub fn validate(&self) -> Result<(), ParseError> {
+        if self.models().is_empty() {
+            return Err(invalid("models", "a scenario needs at least one model"));
+        }
+        for (i, m) in self.models().iter().enumerate() {
+            if m.batch == 0 {
+                return Err(invalid(
+                    format_args!("models[{i}].batch"),
+                    format_args!("must be >= 1 (model {:?})", m.model.name()),
+                ));
+            }
+            m.model.validate_at(&format!("models[{i}].model."))?;
+        }
+        Ok(())
+    }
+}
+
 /// Serializes a model to pretty-printed JSON.
 ///
 /// # Errors
@@ -76,17 +157,16 @@ pub fn model_to_json(model: &Model) -> Result<String, ParseError> {
     Ok(serde_json::to_string_pretty(model)?)
 }
 
-/// Parses a model from JSON.
+/// Parses and validates a model from JSON.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError::Json`] on malformed JSON and
-/// [`ParseError::Invalid`] if the model has no layers.
+/// [`ParseError::Invalid`] on a model that cannot be scheduled (see
+/// [`Model::validate`]).
 pub fn model_from_json(json: &str) -> Result<Model, ParseError> {
     let model: Model = serde_json::from_str(json)?;
-    if model.num_layers() == 0 {
-        return Err(ParseError::Invalid("model has no layers".into()));
-    }
+    model.validate()?;
     Ok(model)
 }
 
@@ -99,20 +179,16 @@ pub fn scenario_to_json(scenario: &Scenario) -> Result<String, ParseError> {
     Ok(serde_json::to_string_pretty(scenario)?)
 }
 
-/// Parses a scenario from JSON.
+/// Parses and validates a scenario from JSON.
 ///
 /// # Errors
 ///
 /// Returns [`ParseError::Json`] on malformed JSON and
-/// [`ParseError::Invalid`] on structural violations (no models, zero batch).
+/// [`ParseError::Invalid`] on a scenario that cannot be scheduled (see
+/// [`Scenario::validate`]).
 pub fn scenario_from_json(json: &str) -> Result<Scenario, ParseError> {
     let sc: Scenario = serde_json::from_str(json)?;
-    if sc.models().is_empty() {
-        return Err(ParseError::Invalid("scenario has no models".into()));
-    }
-    if sc.models().iter().any(|m| m.batch == 0) {
-        return Err(ParseError::Invalid("zero batch size".into()));
-    }
+    sc.validate()?;
     Ok(sc)
 }
 
@@ -168,7 +244,10 @@ mod tests {
             serde_json::from_str(&scenario_to_json(&sc).unwrap()).unwrap();
         v["models"][0]["batch"] = serde_json::json!(0);
         let err = scenario_from_json(&v.to_string()).unwrap_err();
-        assert!(matches!(err, ParseError::Invalid(_)));
+        assert!(
+            matches!(&err, ParseError::Invalid { field, .. } if field == "models[0].batch"),
+            "{err}"
+        );
     }
 
     #[test]

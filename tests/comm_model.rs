@@ -1,12 +1,12 @@
-//! Tiered-`CommModel` invariants: the fabric refactor of `Lat_com`
-//! (DESIGN.md §13) must be a pure *lift* of the historical inline math —
-//! identical numbers by default — while the new inter-MCM tier obeys
-//! conservation and determinism at fleet scale.
+//! Fabric-tier invariants: the priced fabrics of `Lat_com` (DESIGN.md §13)
+//! must leave the historical inline math as it was — identical numbers by
+//! default — while the inter-MCM tier obeys conservation and determinism
+//! at fleet scale.
 //!
 //! * **Pinned reference vectors** — `transfer` / `transfer_with_delta` on
 //!   the datacenter 3×3 reproduce literal Table II floats that predate
 //!   the fabric abstraction.
-//! * **NopFabric neutrality** — attaching `InterconnectSpec::nop()`
+//! * **Electrical-fabric neutrality** — attaching `InterconnectSpec::nop()`
 //!   changes *only* the inter-MCM tier: on-package and off-chip pricing
 //!   stay bit-identical to the spec-less config.
 //! * **Fabric-cost conservation** — a fleet's [`FabricRollup`] equals the
@@ -51,7 +51,7 @@ fn busy_cfg(parallelism: Parallelism) -> ServeConfig {
 }
 
 /// Literal `Lat_com` values computed by hand from §III-E and Table II,
-/// *before* the fabric refactor existed. The tiered `CommModel` must
+/// *before* the fabric tiers existed. The package's pricing must
 /// reproduce them to the last representable bit worth of tolerance.
 #[test]
 fn lat_com_reference_vectors_are_pinned() {

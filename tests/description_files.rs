@@ -2,11 +2,15 @@
 //! round-trips of workloads and MCM hardware, and scheduling from parsed
 //! descriptions.
 
-use scar::core::{OptMetric, Scar, ScheduleRequest, Scheduler, SearchBudget, Session};
+use scar::core::baselines::Standalone;
+use scar::core::{
+    OptMetric, Scar, ScheduleArtifact, ScheduleRequest, Scheduler, SearchBudget, Session,
+};
 use scar::maestro::{ChipletConfig, Dataflow};
 use scar::mcm::parse::McmParseError;
 use scar::mcm::templates::{self, het_sides_3x3, het_t_3x3, Profile};
 use scar::mcm::{parse as mcm_parse, InterconnectSpec, McmConfig, NopTopology};
+use scar::workloads::parse::ParseError;
 use scar::workloads::{parse as wl_parse, Scenario};
 use serde::{Deserialize, Serialize, Value};
 
@@ -94,12 +98,12 @@ fn malformed_descriptions_produce_useful_errors() {
     assert!(e.to_string().contains("malformed"));
 }
 
-/// `mcm`'s description with the field at `path` (`nop.bw_bytes_per_s`,
+/// `desc`'s description with the field at `path` (`nop.bw_bytes_per_s`,
 /// `chiplets[4].freq_hz`, `topology.adjacency[0][1]`) replaced by the JSON
 /// text `literal`, so values the serializer cannot write (`1e999`) reach
 /// the parser as written.
-fn description_with(mcm: &McmConfig, path: &str, literal: &str) -> String {
-    let mut v = mcm.to_value();
+fn description_with(desc: &impl Serialize, path: &str, literal: &str) -> String {
+    let mut v = desc.to_value();
     let mut slot = &mut v;
     for part in path.split('.') {
         let mut pieces = part.split('[');
@@ -240,4 +244,56 @@ fn schedule_requests_reject_invalid_packages_naming_the_field() {
     v["mcm"]["offchip_interfaces"] = Value::Array(vec![]);
     let err = ScheduleRequest::from_value(&v).unwrap_err().to_string();
     assert!(err.contains("McmConfig.offchip_interfaces"), "{err}");
+}
+
+/// The field a workload description is rejected for, and the reason.
+fn invalid_workload<T: std::fmt::Debug>(parsed: Result<T, ParseError>) -> (String, String) {
+    match parsed {
+        Err(ParseError::Invalid { field, reason }) => (field, reason),
+        other => panic!("expected an invalid-field error, got {other:?}"),
+    }
+}
+
+/// Sc6 with a zero stride or group count on its first layer (each a
+/// divisor of the layer's shape arithmetic), or with its first model's
+/// layer list emptied, is rejected naming the field, the model and the
+/// layer; so is that model described on its own. Each used to parse, and
+/// then panic the search or silently drop the model.
+#[test]
+fn zero_divisors_and_empty_models_are_rejected_naming_the_field() {
+    let sc6 = Scenario::arvr(6);
+    let model = &sc6.models()[0].model;
+    let layer = &model.layers()[0].name;
+    for (path, literal) in [
+        ("models[0].model.layers[0].kind.Conv2d.stride", "0"),
+        ("models[0].model.layers[0].kind.Conv2d.groups", "0"),
+        ("models[0].model.layers", "[]"),
+    ] {
+        let json = description_with(&sc6, path, literal);
+        let (field, reason) = invalid_workload(wl_parse::scenario_from_json(&json));
+        assert_eq!(field, path, "{reason}");
+        assert!(reason.contains(model.name()), "{reason}");
+        assert_eq!(reason.contains(layer), literal == "0", "{reason}");
+
+        let path = path.strip_prefix("models[0].model.").unwrap();
+        let json = description_with(model, path, literal);
+        let (field, reason) = invalid_workload(wl_parse::model_from_json(&json));
+        assert_eq!(field, path, "{reason}");
+    }
+}
+
+/// Artifacts embed scenarios in their requests, and reject them the same
+/// way.
+#[test]
+fn artifacts_reject_invalid_scenarios_naming_the_field() {
+    let request = ScheduleRequest::new(Scenario::arvr(6), het_sides_3x3(Profile::ArVr));
+    let standalone = Standalone::new();
+    let result = standalone.schedule(&Session::new(), &request).unwrap();
+    let artifact = ScheduleArtifact::of("Sc6", &standalone, request, result);
+    ScheduleArtifact::from_json(&artifact.to_json()).expect("the recording loads");
+
+    let field = "models[0].model.layers[0].kind.Conv2d.stride";
+    let json = description_with(&artifact, &format!("request.scenario.{field}"), "0");
+    let err = ScheduleArtifact::from_json(&json).unwrap_err();
+    assert!(err.contains(field), "{err}");
 }
