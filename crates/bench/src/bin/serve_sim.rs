@@ -27,7 +27,8 @@
 //!   not parse, or names no registered policy, exits with code 2.
 //! * `SCAR_ADMISSION` — admission policy: `accept` (default),
 //!   `deadline` (deadline-feasibility via the cost-DB probe), or
-//!   `shed[:N]` (per-stream queue bound, default 8).
+//!   `shed[:N]` (per-stream queue bound `N ≥ 1`, default 8). Anything
+//!   else exits with code 2.
 //! * `SCAR_TRAFFIC_SHAPE` — re-express both mixes' arrivals at the same
 //!   mean rates: `poisson`, `burst` (Markov-modulated on/off), or
 //!   `diurnal` (sinusoidal rate). Unset keeps the native shapes
@@ -50,8 +51,9 @@
 //!   simulations and writes it as Chrome `trace_event` JSON to
 //!   `TRACE_serve_sim.json` (loadable in Perfetto). Observational only:
 //!   the serving reports stay byte-identical with tracing on or off.
-//! * `SCAR_METRICS` — `1` records the counter/gauge/histogram registry
-//!   and writes it to `METRICS_serve_sim.json`.
+//! * `SCAR_METRICS` — `1` records the primary policy's per-phase span
+//!   wall times and prints them on a `phase wall:` line (implied by
+//!   `SCAR_TRACE`); nothing is written.
 //!
 //! Flags (`SCAR_PREEMPT`, `SCAR_TRACE`, `SCAR_METRICS`) follow
 //! [`scar_bench::knobs`]: unset or empty is the default, `0` off, `1` on,
@@ -305,9 +307,5 @@ fn main() {
         .expect("write TRACE_serve_sim.json")
     {
         println!("wrote TRACE_serve_sim.json (Chrome trace_event; load in Perfetto)");
-    }
-    if let Some(json) = telemetry.metrics_json() {
-        std::fs::write("METRICS_serve_sim.json", json).expect("write METRICS_serve_sim.json");
-        println!("wrote METRICS_serve_sim.json (counter/gauge/histogram registry)");
     }
 }

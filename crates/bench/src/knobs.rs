@@ -32,8 +32,9 @@ pub fn flag(name: &str, default: bool) -> bool {
     })
 }
 
-/// The bins' telemetry sink: `SCAR_TRACE` records the span timeline,
-/// `SCAR_METRICS` the counter/gauge/histogram registry (both default off).
+/// The bins' telemetry sink: `SCAR_TRACE` records the span timeline and
+/// the per-phase wall table, `SCAR_METRICS` the wall table alone (both
+/// default off).
 pub fn telemetry() -> Telemetry {
     Telemetry::enabled(flag("SCAR_TRACE", false), flag("SCAR_METRICS", false))
 }

@@ -1,8 +1,8 @@
 //! `serve_sim` driven through the built binary, each case in its own temp
 //! dir (the bin writes its reports and artifacts to its working
 //! directory) with every `SCAR_*` variable of this process's environment
-//! removed: warm starts, overload preemption, and the inputs it cannot
-//! serve.
+//! removed: warm starts, overload preemption, the telemetry knobs, and
+//! the inputs it cannot serve.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -167,16 +167,62 @@ fn an_infeasible_search_exits_1_without_a_panic() {
     assert!(stderr.contains("no feasible schedule"), "{stderr}");
 }
 
-/// An empty population is rejected where the file is parsed: a
-/// configuration error (exit 2) that names the field.
+/// An empty population, or a mutation rate that is no probability, is
+/// rejected where the file is parsed: a configuration error (exit 2) that
+/// names the field.
 #[test]
-fn a_zero_population_is_a_configuration_error() {
-    let out = serve_sim_with_policy_file(
-        "population0",
-        r#"{"policy":"SCAR","search":{"Evolutionary":{"population":0}}}"#,
-    );
+fn out_of_range_search_parameters_are_configuration_errors() {
+    for (tag, field, json) in [
+        (
+            "population0",
+            "\"population\"",
+            r#"{"policy":"SCAR","search":{"Evolutionary":{"population":0}}}"#,
+        ),
+        (
+            "mutation5",
+            "\"mutation_rate\"",
+            r#"{"policy":"SCAR","search":{"Evolutionary":{"mutation_rate":5}}}"#,
+        ),
+    ] {
+        let out = serve_sim_with_policy_file(tag, json);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tag}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+        assert!(stderr.contains(field), "{tag}: {stderr}");
+    }
+}
+
+/// A load-shed queue bound of 0 would shed every arrival; it is a
+/// configuration error (exit 2) naming the variable, not a panic on the
+/// empty warm replay.
+#[test]
+fn a_zero_shed_bound_is_a_configuration_error() {
+    let dir = Scratch::new("shed0");
+    let out = dir.run(&[("SCAR_ADMISSION", "shed:0")]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(stderr.contains("population"), "{stderr}");
+    assert!(stderr.contains("SCAR_ADMISSION"), "{stderr}");
+}
+
+/// `SCAR_METRICS=1` prints the per-phase wall line and writes no file;
+/// `SCAR_TRACE=1` writes a Chrome trace the analyzer accepts.
+#[test]
+fn telemetry_knobs_print_walls_and_write_only_the_trace() {
+    let dir = Scratch::new("telemetry");
+    let walls = stdout_of(&dir.run(&[("SCAR_METRICS", "1")]));
+    assert!(
+        walls.lines().any(|l| l.starts_with("phase wall: ")),
+        "{walls}"
+    );
+    assert!(!dir.0.join("METRICS_serve_sim.json").exists());
+    assert!(!dir.0.join("TRACE_serve_sim.json").exists());
+
+    stdout_of(&dir.run(&[("SCAR_TRACE", "1")]));
+    let doc = serde::parse_value(&dir.read("TRACE_serve_sim.json")).expect("trace is JSON");
+    let analysis = scar_telemetry::analyze_trace(&doc, "serve.run").expect("trace analyzes");
+    assert!(
+        analysis.roots > 0 && analysis.coverage() > 0.0,
+        "{analysis:?}"
+    );
 }

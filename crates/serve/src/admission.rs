@@ -175,11 +175,12 @@ impl AdmissionKind {
 
     /// Parses the `SCAR_ADMISSION` spellings: `accept` (or `accept-all`),
     /// `deadline` (or `deadline-feasible`), `shed` / `shed:N` (per-stream
-    /// queue bound `N`, default 8). Case-insensitive.
+    /// queue bound `N ≥ 1`, default 8). Case-insensitive.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the accepted spellings.
+    /// Returns a message naming the accepted spellings, or the rejected
+    /// queue bound (a bound of 0 would shed every arrival).
     pub fn parse(spec: &str) -> Result<Self, String> {
         let spec = spec.trim().to_ascii_lowercase();
         let (head, arg) = match spec.split_once(':') {
@@ -194,9 +195,15 @@ impl AdmissionKind {
             ("shed" | "load-shed" | "loadshed", arg) => {
                 let max_queue = match arg {
                     None => 8,
-                    Some(a) => a
-                        .parse()
-                        .map_err(|_| format!("{a:?} is not a queue bound"))?,
+                    Some(a) => match a.parse() {
+                        Ok(0) => {
+                            return Err(format!(
+                                "{spec:?} sheds every arrival: the queue bound must be at least 1"
+                            ))
+                        }
+                        Ok(n) => n,
+                        Err(_) => return Err(format!("{a:?} is not a queue bound")),
+                    },
                 };
                 Ok(AdmissionKind::LoadShed { max_queue })
             }
@@ -342,6 +349,8 @@ mod tests {
             Ok(AdmissionKind::LoadShed { max_queue: 3 })
         );
         assert!(AdmissionKind::parse("shed:x").is_err());
+        let zero = AdmissionKind::parse("shed:0").unwrap_err();
+        assert!(zero.contains("shed:0"), "names the value: {zero}");
         assert!(AdmissionKind::parse("fifo").is_err());
     }
 

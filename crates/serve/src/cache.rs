@@ -56,7 +56,6 @@
 use scar_core::{OptMetric, ScheduleRequest, ScheduleResult, Scheduler, SearchBudget};
 use scar_hash::StableHasher;
 use scar_mcm::McmConfig;
-use scar_telemetry::Telemetry;
 use scar_workloads::{Model, Scenario, UseCase};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -289,10 +288,6 @@ pub struct ScheduleCache {
     capacity: usize,
     tick: u64,
     stats: CacheStats,
-    /// Metrics mirror of the counters (disabled by default): hits,
-    /// misses, and evictions also land in the telemetry registry so
-    /// timelines and metrics dumps see cache behavior without a report.
-    telemetry: Telemetry,
 }
 
 impl Default for ScheduleCache {
@@ -318,17 +313,7 @@ impl ScheduleCache {
             capacity: capacity.max(1),
             tick: 0,
             stats: CacheStats::default(),
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry sink mirroring the hit/miss/eviction counters
-    /// into the metrics registry (`serve.cache.*`). Observational only:
-    /// cache contents and eviction order are unaffected.
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// The entry bound.
@@ -344,12 +329,10 @@ impl ScheduleCache {
             Some(e) => {
                 e.last_used = self.tick;
                 self.stats.hits += 1;
-                self.telemetry.count("serve.cache.hits", 1);
                 Some(Rc::clone(&e.result))
             }
             None => {
                 self.stats.misses += 1;
-                self.telemetry.count("serve.cache.misses", 1);
                 None
             }
         }
@@ -363,7 +346,6 @@ impl ScheduleCache {
             if let Some((&victim, _)) = self.map.iter().min_by_key(|(_, e)| e.last_used) {
                 self.map.remove(&victim);
                 self.stats.evictions += 1;
-                self.telemetry.count("serve.cache.evictions", 1);
             }
         }
         self.map.insert(
@@ -373,8 +355,6 @@ impl ScheduleCache {
                 last_used: self.tick,
             },
         );
-        self.telemetry
-            .gauge("serve.cache.entries", self.map.len() as f64);
     }
 
     /// Number of cached schedules.

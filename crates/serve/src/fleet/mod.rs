@@ -94,8 +94,8 @@ pub struct ReplicaSpec {
     pub mcm: McmConfig,
     /// The replica's serving configuration (search budget, admission,
     /// preemption, parallelism…). The `telemetry` field is ignored: the
-    /// fleet threads its own sink through every replica so all spans and
-    /// counters roll into one trace.
+    /// fleet threads its own sink through every replica so all spans roll
+    /// into one trace.
     pub cfg: ServeConfig,
 }
 
@@ -131,9 +131,9 @@ pub struct FleetConfig {
     /// ([`FleetReport::cost_evaluations`]). `None` (the default) gives
     /// every replica its own fresh session.
     pub cost_db_path: Option<PathBuf>,
-    /// Telemetry sink for the whole fleet: the dispatch pass, every
-    /// replica's serving loop, and the fleet-level counters all record
-    /// into this one handle. Observational only.
+    /// Telemetry sink for the whole fleet: the dispatch pass and every
+    /// replica's serving loop record their spans into this one handle.
+    /// Observational only.
     pub telemetry: Telemetry,
 }
 
@@ -410,17 +410,6 @@ impl FleetSim {
             report.completed + report.rejected,
             "fleet conservation: offered == Σ completed + rejected"
         );
-        tel.count("fleet.offered", offered as u64);
-        tel.count("fleet.completed", completed as u64);
-        tel.count("fleet.rejected", rejected as u64);
-        tel.count("fleet.migrations", migrations);
-        if rehomed > 0 {
-            tel.count("fleet.rehomed", rehomed);
-        }
-        if let Some(fab) = &report.fabric {
-            tel.count("fleet.fabric_migrations", fab.migrations);
-            tel.count("fleet.fabric_bytes", fab.bytes);
-        }
         Ok(report)
     }
 }

@@ -139,11 +139,11 @@ pub struct ServeConfig {
     /// reports are bit-identical across settings.
     pub parallelism: Parallelism,
     /// Telemetry sink threaded through the whole loop: the [`Session`]
-    /// (scheduler-side spans), the [`ScheduleCache`] (hit/miss/eviction
-    /// counters), admission, and the loop's own phase spans all record
-    /// into it. Observational only — the default disabled handle does no
-    /// work, and an enabled one never changes what is scheduled, so
-    /// reports are bit-identical with telemetry on or off.
+    /// (scheduler-side spans) and the loop's own phase spans (cache,
+    /// admission, splice) all record into it. Observational only — the
+    /// default disabled handle does no work, and an enabled one never
+    /// changes what is scheduled, so reports are bit-identical with
+    /// telemetry on or off.
     pub telemetry: Telemetry,
 }
 
@@ -378,8 +378,8 @@ pub struct ServeSim<'a> {
     /// staleness chain bounded by [`MAX_INCREMENTAL_CHAIN`]).
     incremental_chain: usize,
     /// The telemetry handle (a clone of [`ServeConfig::telemetry`]):
-    /// spans and counters are recorded from this coordinating thread
-    /// only, never inside evaluation workers.
+    /// spans are recorded from this coordinating thread only, never
+    /// inside evaluation workers.
     tel: Telemetry,
 }
 
@@ -428,7 +428,7 @@ impl<'a> ServeSim<'a> {
         session: Session,
     ) -> Self {
         let tel = cfg.telemetry.clone();
-        let cache = ScheduleCache::with_capacity(cfg.cache_capacity).with_telemetry(tel.clone());
+        let cache = ScheduleCache::with_capacity(cfg.cache_capacity);
         let admission = cfg.admission.policy();
         Self {
             mcm,
@@ -605,8 +605,8 @@ impl<'a> ServeSim<'a> {
 
     /// The ingest step: every arrival up to the virtual clock passes
     /// admission into its stream's queue, or is rejected and counted.
-    /// Each decision records a `serve.admission` span, the admitted /
-    /// rejected counters, and a queue-depth sample.
+    /// Each decision records a `serve.admission` span carrying the queue
+    /// depth it saw and its verdict.
     fn ingest(&mut self, run: &mut Run<'_>) {
         while let Some(&r) = run.arrivals.get(run.next).filter(|r| r.arrival_s <= run.t) {
             run.next += 1;
@@ -616,16 +616,15 @@ impl<'a> ServeSim<'a> {
                 stream: &run.mix.streams[r.stream],
                 min_service_s: self.min_service_s(&mut run.min_service, run.mix, r.stream),
             };
-            let mut span = self.tel.span("serve.admission");
+            let mut span = self
+                .tel
+                .span("serve.admission")
+                .arg("queue_depth", ctx.queue_depth);
             let admitted = self.admission.admit(&r, &ctx);
             span.push_arg("admitted", admitted);
-            self.tel
-                .observe("serve.queue_depth", ctx.queue_depth as f64);
             if admitted {
-                self.tel.count("serve.admission.admitted", 1);
                 run.queues[r.stream].push_back(r);
             } else {
-                self.tel.count("serve.admission.rejected", 1);
                 run.rejected[r.stream] += 1;
             }
         }
@@ -749,10 +748,7 @@ impl<'a> ServeSim<'a> {
         cut
     }
 
-    /// The run's report, built from its tallies; the run's deterministic
-    /// counters are mirrored into the metrics registry (cache
-    /// hit/miss/eviction counters are mirrored by the cache itself as
-    /// they happen).
+    /// The run's report, built from its tallies.
     fn report(&self, run: Run<'_>) -> ServeReport {
         let mix = run.mix;
         let offered = run.arrivals.len();
@@ -770,15 +766,6 @@ impl<'a> ServeSim<'a> {
             evictions: after.evictions - run.cache_before.evictions,
         };
         let cost_evaluations = self.session.cost_evaluations() - run.evaluations_before;
-        let tel = &self.tel;
-        tel.count("serve.offered", offered as u64);
-        tel.count("serve.completed", completed as u64);
-        tel.count("serve.rejected", rejected as u64);
-        tel.count("serve.windows_scheduled", run.rounds as u64);
-        tel.count("serve.preemptions", run.preemptions);
-        tel.count("serve.incremental_reschedules", run.incremental_reschedules);
-        tel.count("serve.full_searches", run.full_searches);
-        tel.count("maestro.cost_evaluations", cost_evaluations);
         let per_stream = mix
             .streams
             .iter()
@@ -957,10 +944,9 @@ impl<'a> ServeSim<'a> {
                 let mut h = StableHasher::new();
                 "preempt".hash(&mut h);
                 key.hash(&mut h);
-                // the scheduler hashes only what its `preempt` actually
-                // reads from the cut instance (SCAR: the mined warm
-                // hints), so cuts differing in irrelevant detail share
-                // one cached splice
+                // the scheduler hashes what its `preempt` can read from
+                // the cut instance (SCAR reads all of it and keeps the
+                // trait default, hashing the whole instance)
                 self.scheduler
                     .preempt_fingerprint(&request, cut.schedule(), &mut h);
                 (h.finish(), None, Some(request))

@@ -270,7 +270,15 @@ fn parse_search(val: &Value) -> Result<SearchKind, String> {
                             v.as_u64().ok_or("\"generations\" must be an integer")? as usize;
                     }
                     "mutation_rate" => {
-                        p.mutation_rate = v.as_f64().ok_or("\"mutation_rate\" must be a number")?;
+                        // a probability; `1e999` parses as infinity
+                        p.mutation_rate = match v.as_f64() {
+                            Some(r) if (0.0..=1.0).contains(&r) => r,
+                            _ => {
+                                return Err(
+                                    "\"mutation_rate\" must be a number in [0, 1]".to_string()
+                                )
+                            }
+                        };
                     }
                     other => {
                         return Err(format!("unknown Evolutionary parameter {other:?}"));
@@ -392,6 +400,22 @@ mod tests {
             (
                 r#"{"policy":"SCAR","search":{"Evolutionary":{"population":0}}}"#,
                 "\"population\" must be at least 1",
+            ),
+            (
+                r#"{"policy":"SCAR","search":{"Evolutionary":{"mutation_rate":5}}}"#,
+                "\"mutation_rate\" must be a number in [0, 1]",
+            ),
+            (
+                r#"{"policy":"SCAR","search":{"Evolutionary":{"mutation_rate":-1}}}"#,
+                "\"mutation_rate\" must be a number in [0, 1]",
+            ),
+            (
+                r#"{"policy":"SCAR","search":{"Evolutionary":{"mutation_rate":1e999}}}"#,
+                "\"mutation_rate\" must be a number in [0, 1]",
+            ),
+            (
+                r#"{"policy":"SCAR","search":{"Evolutionary":{"mutation_rate":"0.3"}}}"#,
+                "\"mutation_rate\" must be a number in [0, 1]",
             ),
         ] {
             let err = PolicyFile::parse(bad).unwrap_err();

@@ -1,6 +1,6 @@
-//! Structured tracing and metrics for the SCAR reproduction.
+//! Structured tracing for the SCAR reproduction.
 //!
-//! Three pieces, one handle:
+//! Two views of one span stream, one handle:
 //!
 //! * **Spans** — [`Telemetry::span`] opens an RAII guard; dropping it
 //!   records a wall-clock interval. Spans carry `&'static str` names from
@@ -8,14 +8,14 @@
 //!   ([`SpanGuard::arg`]), and serialize to Chrome `trace_event` JSON
 //!   ([`Telemetry::trace_json`]) loadable in Perfetto/chrome://tracing.
 //!   Complete spans (`"ph": "X"`) are the only timeline events.
-//! * **Metrics** — a registry of named counters ([`Telemetry::count`]),
-//!   gauges ([`Telemetry::gauge`]), and fixed-bucket histograms
-//!   ([`Telemetry::observe`]), dumped as deterministic-ordered JSON
-//!   ([`Telemetry::metrics_json`]).
 //! * **Phase wall-time** — every recorded span also accumulates into a
 //!   per-name `(count, total wall)` table; [`Telemetry::phase_wall`]
 //!   aggregates it by phase category for the per-phase attribution the
 //!   bins print and `perfbench` reads its `trace.*` rows from.
+//!
+//! Counts of what the serving loop did (rounds, cache hits, admissions,
+//! cost evaluations) are not telemetry: they live in the deterministic
+//! reports (`ServeReport`, `FleetReport`), which are byte-compared.
 //!
 //! # Zero cost when disabled
 //!
@@ -38,8 +38,8 @@
 //!     let mut g = tel.span("search.generation").arg("window", 0u64);
 //!     g.push_arg("candidates", 42u64);
 //! } // guard drop records the span
-//! tel.count("serve.cache.hits", 1);
 //! assert_eq!(tel.spans_recorded(), 1);
+//! assert_eq!(tel.span_wall("search.generation").unwrap().count, 1);
 //! assert!(tel.trace_json().unwrap().contains("search.generation"));
 //!
 //! let off = Telemetry::disabled();
@@ -170,55 +170,6 @@ struct SpanEvent {
     args: Vec<(&'static str, ArgValue)>,
 }
 
-/// A fixed-bucket histogram: counts per upper bound plus an overflow
-/// bucket, with total count and sum for mean computation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Inclusive upper bounds of the finite buckets, ascending.
-    pub bounds: Vec<f64>,
-    /// `bounds.len() + 1` counts; the last is the overflow bucket.
-    pub counts: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: f64,
-}
-
-/// Every histogram's bounds: powers of two, sized for queue depths and
-/// per-round candidate counts.
-const DEFAULT_BUCKETS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
-
-impl Histogram {
-    fn new() -> Self {
-        Self {
-            bounds: DEFAULT_BUCKETS.to_vec(),
-            counts: vec![0; DEFAULT_BUCKETS.len() + 1],
-            count: 0,
-            sum: 0.0,
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| v <= *b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum += v;
-    }
-
-    /// Mean of the observed values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// Wall-time accumulator of one span name.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpanWall {
@@ -231,23 +182,17 @@ pub struct SpanWall {
 #[derive(Default)]
 struct State {
     spans: Vec<SpanEvent>,
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
     /// Per span-name wall accumulation (kept even when the trace buffer
-    /// is off, so metrics-only runs still get phase attribution).
+    /// is off, so walls-only runs still get phase attribution).
     wall: BTreeMap<&'static str, SpanWall>,
 }
 
 struct Inner {
     /// Record the trace-event buffer (timeline export).
     trace: bool,
-    /// Record the metrics registry.
-    metrics: bool,
     epoch: Instant,
     state: Mutex<State>,
     spans_recorded: AtomicU64,
-    counter_updates: AtomicU64,
 }
 
 impl Inner {
@@ -270,7 +215,6 @@ impl std::fmt::Debug for Telemetry {
             Some(i) => f
                 .debug_struct("Telemetry")
                 .field("trace", &i.trace)
-                .field("metrics", &i.metrics)
                 .field("spans_recorded", &i.spans_recorded.load(Ordering::Relaxed))
                 .finish(),
         }
@@ -284,20 +228,19 @@ impl Telemetry {
         Self(None)
     }
 
-    /// A live sink recording a trace-event timeline (`trace`) and/or the
-    /// metrics registry (`metrics`). Both `false` degrades to
+    /// A live sink. Every live sink keeps the per-name wall table;
+    /// `trace` also records the trace-event timeline, and `walls` asks
+    /// for a sink even when `trace` is off. Both `false` degrades to
     /// [`Telemetry::disabled`].
-    pub fn enabled(trace: bool, metrics: bool) -> Self {
-        if !trace && !metrics {
+    pub fn enabled(trace: bool, walls: bool) -> Self {
+        if !trace && !walls {
             return Self::disabled();
         }
         Self(Some(Arc::new(Inner {
             trace,
-            metrics,
             epoch: Instant::now(),
             state: Mutex::new(State::default()),
             spans_recorded: AtomicU64::new(0),
-            counter_updates: AtomicU64::new(0),
         })))
     }
 
@@ -324,66 +267,12 @@ impl Telemetry {
         }
     }
 
-    /// Adds `delta` to the named counter (registry only; no-op unless
-    /// metrics are enabled).
-    pub fn count(&self, name: &'static str, delta: u64) {
-        if let Some(inner) = self.0.as_deref() {
-            if inner.metrics {
-                inner.counter_updates.fetch_add(1, Ordering::Relaxed);
-                *inner.lock().counters.entry(name).or_insert(0) += delta;
-            }
-        }
-    }
-
-    /// Sets the named gauge to `value` (last write wins).
-    pub fn gauge(&self, name: &'static str, value: f64) {
-        if let Some(inner) = self.0.as_deref() {
-            if inner.metrics {
-                inner.lock().gauges.insert(name, value);
-            }
-        }
-    }
-
-    /// Records `value` into the named fixed-bucket histogram (bounds 1, 2,
-    /// 4, … 128, then an overflow bucket).
-    pub fn observe(&self, name: &'static str, value: f64) {
-        if let Some(inner) = self.0.as_deref() {
-            if inner.metrics {
-                inner
-                    .lock()
-                    .histograms
-                    .entry(name)
-                    .or_insert_with(Histogram::new)
-                    .observe(value);
-            }
-        }
-    }
-
     /// Spans recorded so far (0 on the disabled handle — the no-op
     /// assertion the neutrality tests use).
     pub fn spans_recorded(&self) -> u64 {
         self.0
             .as_ref()
             .map_or(0, |i| i.spans_recorded.load(Ordering::Relaxed))
-    }
-
-    /// Counter updates applied so far.
-    pub fn counter_updates(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.counter_updates.load(Ordering::Relaxed))
-    }
-
-    /// The named counter's current value (0 when absent or disabled).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |i| i.lock().counters.get(name).copied().unwrap_or(0))
-    }
-
-    /// A snapshot of the named histogram, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.0.as_ref()?.lock().histograms.get(name).cloned()
     }
 
     /// The wall accumulator of one span name (`None` when never
@@ -466,76 +355,6 @@ impl Telemetry {
             }
             None => Ok(false),
         }
-    }
-
-    /// The metrics registry as JSON: counters, gauges, and histograms in
-    /// deterministic (sorted-name) order, then the nondeterministic
-    /// per-phase wall table last. `None` unless metrics are enabled.
-    pub fn metrics_json(&self) -> Option<String> {
-        let inner = self.0.as_deref()?;
-        if !inner.metrics {
-            return None;
-        }
-        let state = inner.lock();
-        let counters = Value::Object(
-            state
-                .counters
-                .iter()
-                .map(|(k, v)| (k.to_string(), Value::UInt(*v)))
-                .collect(),
-        );
-        let gauges = Value::Object(
-            state
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.to_string(), Value::Float(*v)))
-                .collect(),
-        );
-        let histograms = Value::Object(
-            state
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.to_string(),
-                        Value::Object(vec![
-                            (
-                                "bounds".to_string(),
-                                Value::Array(h.bounds.iter().map(|b| Value::Float(*b)).collect()),
-                            ),
-                            (
-                                "counts".to_string(),
-                                Value::Array(h.counts.iter().map(|c| Value::UInt(*c)).collect()),
-                            ),
-                            ("count".to_string(), Value::UInt(h.count)),
-                            ("sum".to_string(), Value::Float(h.sum)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let wall = Value::Object(
-            state
-                .wall
-                .iter()
-                .map(|(k, w)| {
-                    (
-                        k.to_string(),
-                        Value::Object(vec![
-                            ("count".to_string(), Value::UInt(w.count)),
-                            ("total_s".to_string(), Value::Float(w.total_s)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        let doc = Value::Object(vec![
-            ("counters".to_string(), counters),
-            ("gauges".to_string(), gauges),
-            ("histograms".to_string(), histograms),
-            ("span_wall_s".to_string(), wall),
-        ]);
-        Some(serde::write_pretty(&doc))
     }
 }
 
@@ -795,14 +614,8 @@ mod tests {
             g.push_arg("candidates", 9u64);
             assert!(!g.is_recording());
         }
-        tel.count("serve.cache.hits", 5);
-        tel.gauge("serve.cache.entries", 1.0);
-        tel.observe("serve.queue_depth", 4.0);
         assert_eq!(tel.spans_recorded(), 0);
-        assert_eq!(tel.counter_updates(), 0);
-        assert_eq!(tel.counter("serve.cache.hits"), 0);
         assert!(tel.trace_json().is_none());
-        assert!(tel.metrics_json().is_none());
         assert!(tel.wall_summary().is_none());
     }
 
@@ -832,28 +645,6 @@ mod tests {
             .unwrap()
             .1;
         assert_eq!(eval.count, 1);
-    }
-
-    #[test]
-    fn registry_counts_gauges_histograms() {
-        let tel = Telemetry::enabled(false, true);
-        tel.count("serve.cache.hits", 2);
-        tel.count("serve.cache.hits", 3);
-        tel.gauge("serve.cache.entries", 7.0);
-        for d in [0.0, 1.0, 3.0, 200.0] {
-            tel.observe("serve.queue_depth", d);
-        }
-        assert_eq!(tel.counter("serve.cache.hits"), 5);
-        let h = tel.histogram("serve.queue_depth").unwrap();
-        assert_eq!(h.count, 4);
-        assert_eq!(h.counts[0], 2, "0 and 1 land in the <=1 bucket");
-        assert_eq!(*h.counts.last().unwrap(), 1, "200 overflows");
-        assert!((h.mean() - 51.0).abs() < 1e-9);
-        // trace side is off
-        assert!(tel.trace_json().is_none());
-        let metrics = tel.metrics_json().unwrap();
-        assert!(metrics.contains("serve.cache.hits"));
-        assert!(metrics.contains("serve.queue_depth"));
     }
 
     /// The taxonomy stays closed: every name `phase_of` categorizes is

@@ -85,8 +85,10 @@ impl From<serde_json::Error> for ParseError {
 
 impl Model {
     /// The checks a deserialized model passes: at least one layer (which
-    /// [`Model::new`] asserts), and no zero stride or group count (the
-    /// divisors of a layer's shape arithmetic).
+    /// [`Model::new`] asserts), and no zero in any layer dimension but
+    /// `Conv2d.padding` (a zero stride or group count divides by zero in
+    /// the shape arithmetic; a zero extent makes a layer that does no
+    /// work yet schedules).
     ///
     /// # Errors
     ///
@@ -106,18 +108,70 @@ impl Model {
             ));
         }
         for (j, layer) in self.layers().iter().enumerate() {
-            let zero = match layer.kind {
-                LayerKind::Conv2d { stride: 0, .. } => "Conv2d.stride",
-                LayerKind::Conv2d { groups: 0, .. } => "Conv2d.groups",
-                LayerKind::Pool2d { stride: 0, .. } => "Pool2d.stride",
-                _ => continue,
-            };
-            return Err(invalid(
-                format_args!("{at}layers[{j}].kind.{zero}"),
-                format_args!("must be >= 1 (model {model:?}, layer {:?})", layer.name),
-            ));
+            let (kind, dims) = positive_dims(&layer.kind);
+            if let Some((field, _)) = dims.iter().find(|(_, v)| *v == 0) {
+                return Err(invalid(
+                    format_args!("{at}layers[{j}].kind.{kind}.{field}"),
+                    format_args!("must be >= 1 (model {model:?}, layer {:?})", layer.name),
+                ));
+            }
         }
         Ok(())
+    }
+}
+
+/// A layer kind's variant name and the fields that must be at least 1
+/// (all but `Conv2d.padding`), in declaration order.
+fn positive_dims(kind: &LayerKind) -> (&'static str, Vec<(&'static str, u64)>) {
+    match *kind {
+        LayerKind::Conv2d {
+            in_h,
+            in_w,
+            in_ch,
+            out_ch,
+            kernel_h,
+            kernel_w,
+            stride,
+            padding: _,
+            groups,
+        } => (
+            "Conv2d",
+            vec![
+                ("in_h", in_h),
+                ("in_w", in_w),
+                ("in_ch", in_ch),
+                ("out_ch", out_ch),
+                ("kernel_h", kernel_h),
+                ("kernel_w", kernel_w),
+                ("stride", stride),
+                ("groups", groups),
+            ],
+        ),
+        LayerKind::Gemm { m, k, n } => ("Gemm", vec![("m", m), ("k", k), ("n", n)]),
+        LayerKind::MatMul { m, k, n, heads } => (
+            "MatMul",
+            vec![("m", m), ("k", k), ("n", n), ("heads", heads)],
+        ),
+        LayerKind::Pool2d {
+            in_h,
+            in_w,
+            channels,
+            kernel,
+            stride,
+        } => (
+            "Pool2d",
+            vec![
+                ("in_h", in_h),
+                ("in_w", in_w),
+                ("channels", channels),
+                ("kernel", kernel),
+                ("stride", stride),
+            ],
+        ),
+        LayerKind::Eltwise { elements } => ("Eltwise", vec![("elements", elements)]),
+        LayerKind::Norm { elements } => ("Norm", vec![("elements", elements)]),
+        LayerKind::Softmax { rows, cols } => ("Softmax", vec![("rows", rows), ("cols", cols)]),
+        LayerKind::Activation { elements } => ("Activation", vec![("elements", elements)]),
     }
 }
 

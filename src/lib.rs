@@ -18,7 +18,7 @@
 //! | [`mcm`] | `scar-mcm` | NoP topologies, MCM templates, communication model |
 //! | [`core`] | `scar-core` | the SCAR scheduler and baseline schedulers |
 //! | [`serve`] | `scar-serve` | traffic models, the serving loop, schedule caching, latency/deadline reports |
-//! | [`telemetry`] | `scar-telemetry` | structured spans, metrics registry, Chrome trace_event export (see DESIGN.md §10) |
+//! | [`telemetry`] | `scar-telemetry` | structured spans, per-phase wall attribution, Chrome trace_event export (see DESIGN.md §10) |
 //!
 //! # Quickstart: one offline schedule
 //!

@@ -11,7 +11,7 @@ use scar::mcm::parse::McmParseError;
 use scar::mcm::templates::{self, het_sides_3x3, het_t_3x3, Profile};
 use scar::mcm::{parse as mcm_parse, InterconnectSpec, McmConfig, NopTopology};
 use scar::workloads::parse::ParseError;
-use scar::workloads::{parse as wl_parse, Scenario};
+use scar::workloads::{parse as wl_parse, zoo, Scenario};
 use serde::{Deserialize, Serialize, Value};
 
 fn quick() -> SearchBudget {
@@ -24,6 +24,8 @@ fn quick() -> SearchBudget {
     }
 }
 
+/// The parse validates, so this also guards the workload checks against
+/// rejecting a scenario the paper uses.
 #[test]
 fn all_table_iii_scenarios_roundtrip_through_json() {
     for n in 1..=10 {
@@ -254,31 +256,50 @@ fn invalid_workload<T: std::fmt::Debug>(parsed: Result<T, ParseError>) -> (Strin
     }
 }
 
-/// Sc6 with a zero stride or group count on its first layer (each a
-/// divisor of the layer's shape arithmetic), or with its first model's
-/// layer list emptied, is rejected naming the field, the model and the
-/// layer; so is that model described on its own. Each used to parse, and
-/// then panic the search or silently drop the model.
+/// Sc6 with a zero dimension on a model's first layer (D2GO's Conv2d,
+/// Emformer's Gemm), or with its first model's layer list emptied, is
+/// rejected naming the field, the model and the layer; so is that model
+/// described on its own. Each used to parse, and then panic the search
+/// (a zero stride or group count divides by zero), schedule a layer that
+/// does no work, or silently drop the model.
 #[test]
 fn zero_divisors_and_empty_models_are_rejected_naming_the_field() {
     let sc6 = Scenario::arvr(6);
-    let model = &sc6.models()[0].model;
-    let layer = &model.layers()[0].name;
-    for (path, literal) in [
-        ("models[0].model.layers[0].kind.Conv2d.stride", "0"),
-        ("models[0].model.layers[0].kind.Conv2d.groups", "0"),
-        ("models[0].model.layers", "[]"),
+    for (i, path, literal) in [
+        (0, "layers[0].kind.Conv2d.stride", "0"),
+        (0, "layers[0].kind.Conv2d.groups", "0"),
+        (0, "layers[0].kind.Conv2d.in_h", "0"),
+        (0, "layers[0].kind.Conv2d.out_ch", "0"),
+        (3, "layers[0].kind.Gemm.m", "0"),
+        (3, "layers[0].kind.Gemm.k", "0"),
+        (0, "layers", "[]"),
     ] {
-        let json = description_with(&sc6, path, literal);
+        let model = &sc6.models()[i].model;
+        let layer = &model.layers()[0].name;
+        let in_scenario = format!("models[{i}].model.{path}");
+        let json = description_with(&sc6, &in_scenario, literal);
         let (field, reason) = invalid_workload(wl_parse::scenario_from_json(&json));
-        assert_eq!(field, path, "{reason}");
+        assert_eq!(field, in_scenario, "{reason}");
         assert!(reason.contains(model.name()), "{reason}");
         assert_eq!(reason.contains(layer), literal == "0", "{reason}");
 
-        let path = path.strip_prefix("models[0].model.").unwrap();
         let json = description_with(model, path, literal);
         let (field, reason) = invalid_workload(wl_parse::model_from_json(&json));
         assert_eq!(field, path, "{reason}");
+    }
+}
+
+/// The checks reject nothing the zoo ships: every zoo model, described on
+/// its own, round-trips through the validated parse. (The ten Table III
+/// scenarios, which use every zoo model, are held the same way by
+/// `all_table_iii_scenarios_roundtrip_through_json`.)
+#[test]
+fn every_zoo_model_round_trips_through_a_validated_parse() {
+    for name in zoo::all_names() {
+        let model = zoo::by_name(name).expect("listed names build");
+        let json = wl_parse::model_to_json(&model).unwrap();
+        let back = wl_parse::model_from_json(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(back, model, "{name}");
     }
 }
 
