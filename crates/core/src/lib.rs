@@ -73,7 +73,7 @@ pub mod zoo;
 
 pub use evaluate::{ModelWindowEval, WindowEval};
 pub use expected::ExpectedCosts;
-pub use parallel::Parallelism;
+pub use parallel::{par_map_owned, Parallelism};
 pub use problem::{
     EvalTotals, OptMetric, ScheduleError, ScheduleInstance, Segment, TimeWindow, WindowPartition,
     WindowSchedule,

@@ -12,6 +12,9 @@
 //! split into contiguous chunks, each worker maps only its own chunk, and
 //! the caller concatenates the per-chunk results in input order. No work
 //! stealing, no locks, no nondeterministic reduction order.
+//! `par_map_owned` is the same split for items the workers must own (the
+//! fleet hands each replica its arrival share by value), with the first
+//! chunk mapped on the caller's own thread.
 
 /// Worker-pool sizing for candidate evaluation (threaded through
 /// [`SearchBudget`](crate::SearchBudget), the serving loop, and the bench
@@ -94,6 +97,46 @@ where
     out
 }
 
+/// Maps `f` over `items` by value on up to `threads` workers and returns
+/// the results in input order: the contiguous chunks `par_map_chunks`
+/// splits, the first one mapped on the calling thread and each other one
+/// on a scoped thread of its own.
+///
+/// Workers own their items, so an item can be a buffer `f` consumes, and
+/// the caller, which would otherwise wait idle, serves a share itself:
+/// memory it freed before the call can be reused there. With one thread
+/// (or one item) everything runs inline, in order.
+pub fn par_map_owned<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(threads);
+    let mut rest = items.into_iter();
+    let first: Vec<T> = rest.by_ref().take(chunk).collect();
+    let f = &f;
+    std::thread::scope(|s| {
+        let mut handles = Vec::with_capacity(threads - 1);
+        loop {
+            let xs: Vec<T> = rest.by_ref().take(chunk).collect();
+            if xs.is_empty() {
+                break;
+            }
+            handles.push(s.spawn(move || xs.into_iter().map(f).collect::<Vec<R>>()));
+        }
+        let mut out: Vec<R> = first.into_iter().map(f).collect();
+        for h in handles {
+            out.extend(h.join().expect("par_map_owned worker panicked"));
+        }
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,6 +183,27 @@ mod tests {
         for pair in ids.chunks(2) {
             assert_eq!(pair[0], pair[1]);
         }
+    }
+
+    /// Owned items come back mapped in input order for every thread
+    /// count; at `threads = 2`, the first chunk runs on the caller's
+    /// thread and the second on one spawned thread. Clock-free.
+    #[test]
+    fn par_map_owned_keeps_order_and_serves_the_first_chunk_inline() {
+        let items: Vec<Vec<u64>> = (0..9).map(|i| vec![i; 3]).collect();
+        let expect: Vec<u64> = (0..9).map(|i| 3 * i).collect();
+        for threads in [1, 2, 4, 9, 64] {
+            let got = par_map_owned(items.clone(), threads, |xs| xs.into_iter().sum::<u64>());
+            assert_eq!(got, expect, "threads = {threads}");
+        }
+        let caller = std::thread::current().id();
+        let ids = par_map_owned((0..4).collect::<Vec<u32>>(), 2, |_| {
+            std::thread::current().id()
+        });
+        assert_eq!(ids[..2], [caller, caller], "the first chunk runs inline");
+        assert_eq!(ids[2], ids[3], "the second chunk shares one worker");
+        assert_ne!(ids[2], caller, "the second chunk runs on a spawned thread");
+        assert!(par_map_owned(Vec::<u8>::new(), 4, |x| x).is_empty());
     }
 
     #[test]

@@ -16,13 +16,22 @@
 //! `busy_until` walls advanced by the cost-DB min-service probe), not
 //! replica execution state — so the routing decision for arrival `k`
 //! depends only on the mix seed, the dispatch policy, and the decisions
-//! for arrivals `0..k`. Replicas then advance strictly in replica-index
-//! order (the fixed merge order), each one a deterministic
-//! [`ServeSim::run_arrivals`] call. Same seed + same dispatch policy ⇒
-//! byte-identical [`FleetReport`] for any
-//! [`Parallelism`](scar_core::Parallelism) setting, because per-replica
-//! parallelism is already report-invariant and nothing else in the fleet
-//! touches a thread.
+//! for arrivals `0..k`. The pass records one replica index per arrival;
+//! each replica's share is then gathered at exact capacity and the
+//! arrival list dropped.
+//!
+//! After the pass the replicas are independent: each is a deterministic
+//! [`ServeSim::run_arrivals`] call over its own share, scheduler, cache
+//! and fresh [`Session`]. So they are served on up to
+//! [`FleetConfig::parallelism`] threads at once — contiguous chunks of
+//! replica indices, the caller's thread serving the first — and the
+//! reports are merged in replica-index order (the fixed merge order); the
+//! first error in that order is the one returned. Same seed + same
+//! dispatch policy ⇒ byte-identical [`FleetReport`] for any fleet or
+//! per-replica [`Parallelism`] setting. A fleet that shares one persisted
+//! session ([`FleetConfig::cost_db_path`]) serves its replicas one after
+//! another in replica order instead, so each replica's evaluation count
+//! stays a function of the replicas before it.
 //!
 //! A single-replica fleet routes every arrival to replica 0 under every
 //! built-in policy, and `run_arrivals(mix, mix.arrivals(h))` is exactly
@@ -76,9 +85,10 @@ use dispatch::Router;
 
 use crate::cache::CacheStats;
 use crate::registry::PolicyRegistry;
+use crate::report::ServeReport;
 use crate::sim::{ServeConfig, ServeSim};
 use crate::traffic::{Request, TrafficMix};
-use scar_core::{ScheduleError, Session};
+use scar_core::{par_map_owned, Parallelism, ScheduleError, Session};
 use scar_mcm::templates::{self, Profile};
 use scar_mcm::{CommCost, McmConfig};
 use scar_telemetry::Telemetry;
@@ -115,25 +125,37 @@ impl ReplicaSpec {
     }
 }
 
-/// Fleet-level configuration: how to route, and where to record.
+/// Fleet-level configuration: how to route, how many replicas to serve
+/// at once, and where to record.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// The dispatch policy (see [`DispatchKind`]; round-robin by
     /// default — the baseline the load- and cache-aware policies are
     /// measured against).
     pub dispatch: DispatchKind,
+    /// How many replicas serve at once once routing is done (`Auto` by
+    /// default: one worker per hardware thread, capped at the replica
+    /// count). Wall-clock only: every setting reports identically. It is
+    /// separate from each replica's [`ServeConfig::parallelism`], which
+    /// sizes that replica's candidate-evaluation pool. A fleet with a
+    /// [`cost_db_path`](Self::cost_db_path) ignores it.
+    pub parallelism: Parallelism,
     /// Fleet-shared cost-database snapshot. When set, **one**
     /// [`Session`] backs every replica: it opens once
     /// ([`Session::open`]) before the dispatch probe, threads through the
-    /// replicas in merge order (entries replica `k` evaluates serve
-    /// replica `k+1` warm), and saves once after the last replica. A
-    /// warm fleet then runs at **zero** cost-model evaluations
-    /// ([`FleetReport::cost_evaluations`]). `None` (the default) gives
-    /// every replica its own fresh session.
+    /// replicas one at a time in replica order (entries replica `k`
+    /// evaluates serve replica `k+1` warm), and saves once after the last
+    /// replica. So each replica's `cost_evaluations` counts only what
+    /// replicas `0..k` left cold, and a warm fleet runs at **zero**
+    /// cost-model evaluations ([`FleetReport::cost_evaluations`]). Such a
+    /// fleet serves on one thread whatever
+    /// [`parallelism`](Self::parallelism) says: concurrent replicas would
+    /// split that count by timing. `None` (the default) gives every
+    /// replica its own fresh session.
     pub cost_db_path: Option<PathBuf>,
     /// Telemetry sink for the whole fleet: the dispatch pass and every
-    /// replica's serving loop record their spans into this one handle.
-    /// Observational only.
+    /// replica's serving loop record their spans into this one handle,
+    /// each on the thread that serves it. Observational only.
     pub telemetry: Telemetry,
 }
 
@@ -141,6 +163,7 @@ impl Default for FleetConfig {
     fn default() -> Self {
         Self {
             dispatch: DispatchKind::RoundRobin,
+            parallelism: Parallelism::Auto,
             cost_db_path: None,
             telemetry: Telemetry::disabled(),
         }
@@ -151,7 +174,8 @@ impl Default for FleetConfig {
 ///
 /// Each [`FleetSim::run`] constructs its replicas' serving loops fresh
 /// (caches and per-replica sessions start cold), routes the mix's whole
-/// arrival sequence, then advances the replicas in index order. See the
+/// arrival sequence, then serves the replicas, concurrently unless they
+/// share a session, and merges their reports in index order. See the
 /// [module docs](self) for the determinism contract.
 pub struct FleetSim {
     replicas: Vec<ReplicaSpec>,
@@ -174,8 +198,9 @@ impl FleetSim {
     ///
     /// # Errors
     ///
-    /// Returns the first replica's [`ScheduleError`] (in merge order) if
-    /// its scheduler cannot schedule a live scenario.
+    /// Returns the lowest-index replica's [`ScheduleError`] (the first in
+    /// merge order) if its scheduler cannot schedule a live scenario,
+    /// however many replicas serve at once.
     ///
     /// # Panics
     ///
@@ -197,7 +222,7 @@ impl FleetSim {
         // once here, threaded through the probe and every replica, saved
         // once after the last replica. `None` gives every replica a fresh
         // session.
-        let mut shared_session = self.cfg.cost_db_path.as_ref().map(|path| {
+        let shared_session = self.cfg.cost_db_path.as_ref().map(|path| {
             Session::open(path)
                 .unwrap_or_else(|e| panic!("fleet cost_db_path {}: {e}", path.display()))
                 .with_telemetry(tel.clone())
@@ -261,8 +286,11 @@ impl FleetSim {
         // The single routing pass (see module docs): virtual busy_until
         // walls stand in for replica load, advanced by the min-service
         // estimate (plus any migration transfer) of every routed arrival.
+        // It records one replica index per arrival (`u32`: a fleet of 2^32
+        // replicas would not fit in memory) and counts each share.
         let mut router = Router::new(&self.cfg.dispatch);
-        let mut routed: Vec<Vec<Request>> = vec![Vec::new(); n];
+        let mut replica_of: Vec<u32> = Vec::with_capacity(offered);
+        let mut routed = vec![0usize; n];
         {
             let mut dispatch_span = tel.span("fleet.dispatch");
             dispatch_span.push_arg("arrivals", offered);
@@ -299,58 +327,72 @@ impl FleetSim {
                     last_replica[r.stream] = Some(target);
                 }
                 busy_until[target] = busy_until[target].max(r.arrival_s) + service;
-                routed[target].push(*r);
+                replica_of.push(target as u32);
+                routed[target] += 1;
             }
             dispatch_span.push_arg("migrations", router.migrations);
             dispatch_span.push_arg("rehomed", router.rehomed);
         }
         let (migrations, rehomed) = (router.migrations, router.rehomed);
 
-        // Advance replicas strictly in index order — the fixed merge
-        // order. Each share preserves global arrival order (the routing
-        // pass appends in sequence), so it is a valid arrival list.
-        let mut replica_reports = Vec::with_capacity(n);
-        for (ri, (spec, share)) in self.replicas.iter().zip(routed).enumerate() {
-            let mut span = tel.span("fleet.replica");
-            span.push_arg("replica", ri);
-            span.push_arg("mcm", spec.mcm.name().to_string());
-            span.push_arg("routed", share.len());
-            let cfg = ServeConfig {
-                telemetry: tel.clone(),
-                ..spec.cfg.clone()
-            };
-            let routed_count = share.len();
-            let sharing = shared_session.is_some();
-            let session = shared_session
-                .take()
-                .unwrap_or_else(|| Session::new().with_telemetry(tel.clone()));
-            let scheduler = PolicyRegistry::with_builtins()
-                .build("SCAR", &cfg)
-                .expect("SCAR is a built-in policy");
-            let mut sim = ServeSim::with_session(&spec.mcm, scheduler, cfg, session);
-            let report = sim.run_arrivals(mix, share)?;
-            if sharing {
-                shared_session = Some(sim.into_session());
+        // Each replica's share at exact capacity, in global arrival order
+        // (so a valid arrival list). The arrival list goes before any
+        // replica serves: the caller's thread serves a share itself and
+        // reuses that memory.
+        let mut shares: Vec<Vec<Request>> = routed.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for (r, &ri) in arrivals.iter().zip(&replica_of) {
+            shares[ri as usize].push(*r);
+        }
+        drop(arrivals);
+        drop(replica_of);
+
+        let reports: Vec<ServeReport> = match shared_session {
+            // One session threads through the replicas in replica order on
+            // this thread, and the first error stops the fleet unsaved.
+            Some(mut session) => {
+                let mut reports = Vec::with_capacity(n);
+                for (ri, share) in shares.into_iter().enumerate() {
+                    let (report, back) = self.serve_replica(ri, mix, share, session);
+                    session = back;
+                    reports.push(report?);
+                }
+                if let Some(path) = &self.cfg.cost_db_path {
+                    if let Err(e) = session.save_costs(path) {
+                        eprintln!("warning: failed to persist fleet cost database: {e}");
+                    }
+                }
+                reports
             }
-            span.push_arg("completed", report.completed);
-            span.push_arg("rejected", report.rejected);
-            span.push_arg("cache_hits", report.cache.hits);
-            cost_evaluations += report.cost_evaluations;
-            replica_reports.push(ReplicaReport {
-                mcm_name: spec.mcm.name().to_string(),
-                routed: routed_count,
+            // Independent replicas fan out over contiguous chunks of the
+            // replica indices. Each worker builds, runs and drops its
+            // replicas' serving loops (`ServeSim` holds `Rc`s), and the
+            // reports come back in replica order, so the first error in
+            // replica order is the one returned.
+            None => par_map_owned(
+                shares.into_iter().enumerate().collect(),
+                self.cfg.parallelism.threads(),
+                |(ri, share)| {
+                    let session = Session::new().with_telemetry(tel.clone());
+                    self.serve_replica(ri, mix, share, session).0
+                },
+            )
+            .into_iter()
+            .collect::<Result<_, _>>()?,
+        };
+        cost_evaluations += reports.iter().map(|r| r.cost_evaluations).sum::<u64>();
+        let replica_reports: Vec<ReplicaReport> = reports
+            .into_iter()
+            .enumerate()
+            .map(|(ri, report)| ReplicaReport {
+                mcm_name: self.replicas[ri].mcm.name().to_string(),
+                routed: routed[ri],
                 migrated_in: fab_migrations[ri],
                 fabric_bytes: fab_bytes[ri],
                 fabric_cost_s: fab_cost_s[ri],
                 fabric_energy_j: fab_energy_j[ri],
                 report,
-            });
-        }
-        if let (Some(session), Some(path)) = (&shared_session, &self.cfg.cost_db_path) {
-            if let Err(e) = session.save_costs(path) {
-                eprintln!("warning: failed to persist fleet cost database: {e}");
-            }
-        }
+            })
+            .collect();
         drop(run_span);
 
         let completed: usize = replica_reports.iter().map(|r| r.report.completed).sum();
@@ -411,6 +453,38 @@ impl FleetSim {
             "fleet conservation: offered == Σ completed + rejected"
         );
         Ok(report)
+    }
+
+    /// Serves replica `ri`'s `share` on the calling thread through a
+    /// fresh `SCAR` scheduler over `session`, and hands the session back.
+    fn serve_replica(
+        &self,
+        ri: usize,
+        mix: &TrafficMix,
+        share: Vec<Request>,
+        session: Session,
+    ) -> (Result<ServeReport, ScheduleError>, Session) {
+        let spec = &self.replicas[ri];
+        let tel = &self.cfg.telemetry;
+        let mut span = tel.span("fleet.replica");
+        span.push_arg("replica", ri);
+        span.push_arg("mcm", spec.mcm.name().to_string());
+        span.push_arg("routed", share.len());
+        let cfg = ServeConfig {
+            telemetry: tel.clone(),
+            ..spec.cfg.clone()
+        };
+        let scheduler = PolicyRegistry::with_builtins()
+            .build("SCAR", &cfg)
+            .expect("SCAR is a built-in policy");
+        let mut sim = ServeSim::with_session(&spec.mcm, scheduler, cfg, session);
+        let report = sim.run_arrivals(mix, share);
+        if let Ok(report) = &report {
+            span.push_arg("completed", report.completed);
+            span.push_arg("rejected", report.rejected);
+            span.push_arg("cache_hits", report.cache.hits);
+        }
+        (report, sim.into_session())
     }
 }
 

@@ -24,9 +24,14 @@
 //! returns immediately without reading the clock, taking a lock, or
 //! allocating (span args are only *converted* into owned values when a
 //! sink is attached). The handle is passed explicitly — no thread-locals,
-//! no global mutable state — so instrumentation cannot perturb the
-//! Serial-vs-`Fixed(N)` determinism contract: recording happens on the
-//! coordinating thread, never inside `par_map_chunks` workers.
+//! no global mutable state — and a span only reads the clock and appends
+//! to the sink, so instrumentation cannot perturb the Serial-vs-`Fixed(N)`
+//! determinism contract. The search records on its coordinating thread,
+//! never inside `par_map_chunks` evaluation workers; a fleet serves its
+//! replicas on several threads into one sink. Each span therefore keeps
+//! the index of the thread that recorded it (its `tid` in the timeline:
+//! threads numbered in the order of their first recorded span), so spans
+//! that overlap in time sit on separate tracks and every track nests.
 //!
 //! # Example
 //!
@@ -54,6 +59,7 @@ use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::ThreadId;
 use std::time::Instant;
 
 /// The phase category a span name attributes its wall time to, `None` for
@@ -167,6 +173,8 @@ struct SpanEvent {
     ts_us: f64,
     /// Duration, microseconds.
     dur_us: f64,
+    /// Index of the recording thread (see [`State::threads`]).
+    tid: usize,
     args: Vec<(&'static str, ArgValue)>,
 }
 
@@ -185,6 +193,9 @@ struct State {
     /// Per span-name wall accumulation (kept even when the trace buffer
     /// is off, so walls-only runs still get phase attribution).
     wall: BTreeMap<&'static str, SpanWall>,
+    /// The threads that recorded a span into the timeline, in the order
+    /// of their first one; a span's `tid` is its thread's index here.
+    threads: Vec<ThreadId>,
 }
 
 struct Inner {
@@ -327,7 +338,7 @@ impl Telemetry {
         let mut events: Vec<Value> = state
             .spans
             .iter()
-            .map(|s| trace_event(s.name, s.ts_us, s.dur_us, &s.args))
+            .map(|s| trace_event(s.name, s.ts_us, s.dur_us, s.tid, &s.args))
             .collect();
         // Perfetto sorts by ts itself, but a sorted file diffs better
         events.sort_by(|a, b| {
@@ -359,7 +370,13 @@ impl Telemetry {
 }
 
 /// One complete span as a Chrome `trace_event` object.
-fn trace_event(name: &str, ts_us: f64, dur_us: f64, args: &[(&'static str, ArgValue)]) -> Value {
+fn trace_event(
+    name: &str,
+    ts_us: f64,
+    dur_us: f64,
+    tid: usize,
+    args: &[(&'static str, ArgValue)],
+) -> Value {
     let mut fields: Vec<(String, Value)> = vec![
         ("name".to_string(), Value::Str(name.to_string())),
         (
@@ -371,7 +388,7 @@ fn trace_event(name: &str, ts_us: f64, dur_us: f64, args: &[(&'static str, ArgVa
         ("dur".to_string(), Value::Float(dur_us)),
     ];
     fields.push(("pid".to_string(), Value::UInt(1)));
-    fields.push(("tid".to_string(), Value::UInt(0)));
+    fields.push(("tid".to_string(), Value::UInt(tid as u64)));
     if !args.is_empty() {
         fields.push((
             "args".to_string(),
@@ -444,10 +461,19 @@ impl Drop for SpanGuard<'_> {
             w.total_s += dur.as_secs_f64();
         }
         if rec.inner.trace {
+            let me = std::thread::current().id();
+            let tid = match state.threads.iter().position(|&t| t == me) {
+                Some(tid) => tid,
+                None => {
+                    state.threads.push(me);
+                    state.threads.len() - 1
+                }
+            };
             state.spans.push(SpanEvent {
                 name: rec.name,
                 ts_us,
                 dur_us: dur.as_secs_f64() * 1e6,
+                tid,
                 args: rec.args,
             });
         }
@@ -647,6 +673,36 @@ mod tests {
         assert_eq!(eval.count, 1);
     }
 
+    /// Threads are numbered in the order of their first recorded span,
+    /// and each span carries its thread's number as its `tid`.
+    #[test]
+    fn spans_carry_the_index_of_their_recording_thread() {
+        let tel = Telemetry::enabled(true, false);
+        {
+            let _g = tel.span("fleet.dispatch");
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _g = tel.span("fleet.replica");
+            });
+        });
+        {
+            let _g = tel.span("fleet.run");
+        }
+        let doc = serde::parse_value(&tel.trace_json().unwrap()).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let tid_of = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.get("name").and_then(Value::as_str) == Some(name))
+                .and_then(|e| e.get("tid").and_then(Value::as_f64))
+                .unwrap()
+        };
+        assert_eq!(tid_of("fleet.dispatch"), 0.0);
+        assert_eq!(tid_of("fleet.replica"), 1.0);
+        assert_eq!(tid_of("fleet.run"), 0.0);
+    }
+
     /// The taxonomy stays closed: every name `phase_of` categorizes is
     /// one of the five `PHASES`.
     #[test]
@@ -688,7 +744,7 @@ mod tests {
     fn analyze_trace_computes_coverage() {
         // synthetic: one 100 µs root, generation 0-40, evaluation 40-90,
         // a nested (double-counted if naive) evaluation 50-60
-        let mk = |name: &str, ts: f64, dur: f64| trace_event(name, ts, dur, &[]);
+        let mk = |name: &str, ts: f64, dur: f64| trace_event(name, ts, dur, 0, &[]);
         let doc = Value::Object(vec![(
             "traceEvents".to_string(),
             Value::Array(vec![

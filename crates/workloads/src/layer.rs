@@ -122,8 +122,18 @@ pub enum LayerKind {
     },
 }
 
+/// What [`LayerKind`]'s count methods panic with: a layer whose counts
+/// overflow `u64`, which `Model::validate` rejects where descriptions enter.
+const OVERFLOW: &str = "layer arithmetic overflows u64";
+
+/// The product of `factors`, `None` when it overflows `u64`.
+fn product(factors: &[u64]) -> Option<u64> {
+    factors.iter().try_fold(1u64, |acc, &x| acc.checked_mul(x))
+}
+
 impl LayerKind {
-    /// Output spatial height/width for convolution-like kinds.
+    /// Output spatial height/width for convolution-like kinds, `None` when
+    /// the padded input overflows `u64`.
     fn conv_out_hw(
         in_h: u64,
         in_w: u64,
@@ -131,10 +141,11 @@ impl LayerKind {
         k_w: u64,
         stride: u64,
         padding: u64,
-    ) -> (u64, u64) {
-        let oh = (in_h + 2 * padding).saturating_sub(k_h) / stride + 1;
-        let ow = (in_w + 2 * padding).saturating_sub(k_w) / stride + 1;
-        (oh, ow)
+    ) -> Option<(u64, u64)> {
+        let padded = |x: u64| padding.checked_mul(2)?.checked_add(x);
+        let oh = padded(in_h)?.saturating_sub(k_h) / stride + 1;
+        let ow = padded(in_w)?.saturating_sub(k_w) / stride + 1;
+        Some((oh, ow))
     }
 
     /// Number of multiply-accumulate operations (per sample).
@@ -142,7 +153,16 @@ impl LayerKind {
     /// Non-MAC ops (pooling, normalization, softmax, activations) are
     /// converted to MAC-equivalents so one scalar op ≈ one MAC; this is the
     /// same simplification MAESTRO applies when modeling such layers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
     pub fn macs(&self) -> u64 {
+        self.checked_macs().expect(OVERFLOW)
+    }
+
+    /// `macs`, `None` when it overflows `u64`.
+    pub(crate) fn checked_macs(&self) -> Option<u64> {
         match *self {
             LayerKind::Conv2d {
                 in_h,
@@ -155,11 +175,11 @@ impl LayerKind {
                 padding,
                 groups,
             } => {
-                let (oh, ow) = Self::conv_out_hw(in_h, in_w, kernel_h, kernel_w, stride, padding);
-                oh * ow * out_ch * (in_ch / groups) * kernel_h * kernel_w
+                let (oh, ow) = Self::conv_out_hw(in_h, in_w, kernel_h, kernel_w, stride, padding)?;
+                product(&[oh, ow, out_ch, in_ch / groups, kernel_h, kernel_w])
             }
-            LayerKind::Gemm { m, k, n } => m * k * n,
-            LayerKind::MatMul { m, k, n, heads } => m * k * n * heads,
+            LayerKind::Gemm { m, k, n } => product(&[m, k, n]),
+            LayerKind::MatMul { m, k, n, heads } => product(&[m, k, n, heads]),
             LayerKind::Pool2d {
                 in_h,
                 in_w,
@@ -167,41 +187,61 @@ impl LayerKind {
                 kernel,
                 stride,
             } => {
-                let (oh, ow) = Self::conv_out_hw(in_h, in_w, kernel, kernel, stride, 0);
-                oh * ow * channels * kernel * kernel
+                let (oh, ow) = Self::conv_out_hw(in_h, in_w, kernel, kernel, stride, 0)?;
+                product(&[oh, ow, channels, kernel, kernel])
             }
-            LayerKind::Eltwise { elements } => elements,
+            LayerKind::Eltwise { elements } => Some(elements),
             // mean, variance, subtract, divide, scale/shift ≈ 5 passes
-            LayerKind::Norm { elements } => 5 * elements,
+            LayerKind::Norm { elements } => product(&[5, elements]),
             // exp, max-subtract, sum, divide ≈ 4 passes
-            LayerKind::Softmax { rows, cols } => 4 * rows * cols,
-            LayerKind::Activation { elements } => elements,
+            LayerKind::Softmax { rows, cols } => product(&[4, rows, cols]),
+            LayerKind::Activation { elements } => Some(elements),
         }
     }
 
     /// Input-activation elements read (per sample).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
     pub fn input_elems(&self) -> u64 {
+        self.checked_input_elems().expect(OVERFLOW)
+    }
+
+    /// `input_elems`, `None` when it overflows `u64`.
+    pub(crate) fn checked_input_elems(&self) -> Option<u64> {
         match *self {
             LayerKind::Conv2d {
                 in_h, in_w, in_ch, ..
-            } => in_h * in_w * in_ch,
-            LayerKind::Gemm { k, n, .. } => k * n,
-            LayerKind::MatMul { m, k, n, heads } => heads * (m * k + k * n),
+            } => product(&[in_h, in_w, in_ch]),
+            LayerKind::Gemm { k, n, .. } => product(&[k, n]),
+            LayerKind::MatMul { m, k, n, heads } => {
+                heads.checked_mul(product(&[m, k])?.checked_add(product(&[k, n])?)?)
+            }
             LayerKind::Pool2d {
                 in_h,
                 in_w,
                 channels,
                 ..
-            } => in_h * in_w * channels,
-            LayerKind::Eltwise { elements } => 2 * elements,
-            LayerKind::Norm { elements } => elements,
-            LayerKind::Softmax { rows, cols } => rows * cols,
-            LayerKind::Activation { elements } => elements,
+            } => product(&[in_h, in_w, channels]),
+            LayerKind::Eltwise { elements } => product(&[2, elements]),
+            LayerKind::Norm { elements } => Some(elements),
+            LayerKind::Softmax { rows, cols } => product(&[rows, cols]),
+            LayerKind::Activation { elements } => Some(elements),
         }
     }
 
     /// Weight/parameter elements (batch-independent; zero for weight-less ops).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
     pub fn weight_elems(&self) -> u64 {
+        self.checked_weight_elems().expect(OVERFLOW)
+    }
+
+    /// `weight_elems`, `None` when it overflows `u64`.
+    pub(crate) fn checked_weight_elems(&self) -> Option<u64> {
         match *self {
             LayerKind::Conv2d {
                 in_ch,
@@ -210,20 +250,29 @@ impl LayerKind {
                 kernel_w,
                 groups,
                 ..
-            } => out_ch * (in_ch / groups) * kernel_h * kernel_w,
-            LayerKind::Gemm { m, k, .. } => m * k,
+            } => product(&[out_ch, in_ch / groups, kernel_h, kernel_w]),
+            LayerKind::Gemm { m, k, .. } => product(&[m, k]),
             LayerKind::MatMul { .. }
             | LayerKind::Pool2d { .. }
             | LayerKind::Eltwise { .. }
             | LayerKind::Softmax { .. }
-            | LayerKind::Activation { .. } => 0,
+            | LayerKind::Activation { .. } => Some(0),
             // scale + shift vectors; negligible but nonzero
-            LayerKind::Norm { .. } => 2,
+            LayerKind::Norm { .. } => Some(2),
         }
     }
 
     /// Output-activation elements produced (per sample).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
     pub fn output_elems(&self) -> u64 {
+        self.checked_output_elems().expect(OVERFLOW)
+    }
+
+    /// `output_elems`, `None` when it overflows `u64`.
+    pub(crate) fn checked_output_elems(&self) -> Option<u64> {
         match *self {
             LayerKind::Conv2d {
                 in_h,
@@ -235,11 +284,11 @@ impl LayerKind {
                 padding,
                 ..
             } => {
-                let (oh, ow) = Self::conv_out_hw(in_h, in_w, kernel_h, kernel_w, stride, padding);
-                oh * ow * out_ch
+                let (oh, ow) = Self::conv_out_hw(in_h, in_w, kernel_h, kernel_w, stride, padding)?;
+                product(&[oh, ow, out_ch])
             }
-            LayerKind::Gemm { m, n, .. } => m * n,
-            LayerKind::MatMul { m, n, heads, .. } => heads * m * n,
+            LayerKind::Gemm { m, n, .. } => product(&[m, n]),
+            LayerKind::MatMul { m, n, heads, .. } => product(&[heads, m, n]),
             LayerKind::Pool2d {
                 in_h,
                 in_w,
@@ -247,13 +296,13 @@ impl LayerKind {
                 kernel,
                 stride,
             } => {
-                let (oh, ow) = Self::conv_out_hw(in_h, in_w, kernel, kernel, stride, 0);
-                oh * ow * channels
+                let (oh, ow) = Self::conv_out_hw(in_h, in_w, kernel, kernel, stride, 0)?;
+                product(&[oh, ow, channels])
             }
-            LayerKind::Eltwise { elements } => elements,
-            LayerKind::Norm { elements } => elements,
-            LayerKind::Softmax { rows, cols } => rows * cols,
-            LayerKind::Activation { elements } => elements,
+            LayerKind::Eltwise { elements } => Some(elements),
+            LayerKind::Norm { elements } => Some(elements),
+            LayerKind::Softmax { rows, cols } => product(&[rows, cols]),
+            LayerKind::Activation { elements } => Some(elements),
         }
     }
 

@@ -32,7 +32,9 @@ pub enum ParseError {
     Json(serde_json::Error),
     /// The description fits the schema but names a workload that cannot
     /// be scheduled: a scenario with no models, a zero batch, a model
-    /// with no layers, or a zero stride or group count.
+    /// with no layers, a zero layer dimension, a group count that does not
+    /// divide the channels, a kernel larger than its padded input, or a
+    /// layer whose counts overflow `u64`.
     Invalid {
         /// Dotted path of the offending field
         /// (`models[0].model.layers[3].kind.Conv2d.stride`).
@@ -85,10 +87,16 @@ impl From<serde_json::Error> for ParseError {
 
 impl Model {
     /// The checks a deserialized model passes: at least one layer (which
-    /// [`Model::new`] asserts), and no zero in any layer dimension but
-    /// `Conv2d.padding` (a zero stride or group count divides by zero in
-    /// the shape arithmetic; a zero extent makes a layer that does no
-    /// work yet schedules).
+    /// [`Model::new`] asserts), and for every layer
+    ///
+    /// * no zero in any dimension but `Conv2d.padding` (a zero stride or
+    ///   group count divides by zero in the shape arithmetic; a zero
+    ///   extent makes a layer that does no work yet schedules);
+    /// * a `Conv2d.groups` that divides both `in_ch` and `out_ch`, and a
+    ///   kernel no larger than its padded input (`Conv2d` and `Pool2d`):
+    ///   either would count a layer's MACs or outputs wrong;
+    /// * MAC, input, weight and output element counts that fit in `u64`
+    ///   (they would wrap in a release build).
     ///
     /// # Errors
     ///
@@ -108,16 +116,82 @@ impl Model {
             ));
         }
         for (j, layer) in self.layers().iter().enumerate() {
-            let (kind, dims) = positive_dims(&layer.kind);
-            if let Some((field, _)) = dims.iter().find(|(_, v)| *v == 0) {
+            if let Some((field, rule)) = broken_rule(&layer.kind) {
                 return Err(invalid(
-                    format_args!("{at}layers[{j}].kind.{kind}.{field}"),
-                    format_args!("must be >= 1 (model {model:?}, layer {:?})", layer.name),
+                    format_args!("{at}layers[{j}].kind.{field}"),
+                    format_args!("{rule} (model {model:?}, layer {:?})", layer.name),
                 ));
             }
         }
         Ok(())
     }
+}
+
+/// The first rule a layer breaks, as its field path below `kind`
+/// (`Conv2d.groups`, or the bare variant name when a count overflows) and
+/// the rule.
+fn broken_rule(kind: &LayerKind) -> Option<(String, String)> {
+    let (name, dims) = positive_dims(kind);
+    if let Some((field, _)) = dims.iter().find(|(_, v)| *v == 0) {
+        return Some((format!("{name}.{field}"), "must be >= 1".to_string()));
+    }
+    if let Some((field, rule)) = shape_rule(kind) {
+        return Some((format!("{name}.{field}"), rule));
+    }
+    overflow(kind).map(|rule| (name.to_string(), rule))
+}
+
+/// The first shape rule a layer with no zero dimension breaks, as the
+/// field and the rule: a `Conv2d.groups` that does not divide both channel
+/// counts, or a `Conv2d`/`Pool2d` kernel larger than its padded input.
+fn shape_rule(kind: &LayerKind) -> Option<(&'static str, String)> {
+    let too_large = |kernel: u64, input: u64, padding: u64| {
+        // a padded input past u64 fits any kernel
+        let padded = 2u64.checked_mul(padding)?.checked_add(input)?;
+        (kernel > padded).then(|| format!("{kernel} exceeds the padded input ({padded})"))
+    };
+    match *kind {
+        LayerKind::Conv2d {
+            in_h,
+            in_w,
+            in_ch,
+            out_ch,
+            kernel_h,
+            kernel_w,
+            padding,
+            groups,
+            ..
+        } => {
+            if in_ch % groups != 0 || out_ch % groups != 0 {
+                return Some((
+                    "groups",
+                    format!("{groups} must divide in_ch ({in_ch}) and out_ch ({out_ch})"),
+                ));
+            }
+            too_large(kernel_h, in_h, padding)
+                .map(|rule| ("kernel_h", rule))
+                .or_else(|| too_large(kernel_w, in_w, padding).map(|rule| ("kernel_w", rule)))
+        }
+        LayerKind::Pool2d {
+            in_h, in_w, kernel, ..
+        } => too_large(kernel, in_h, 0)
+            .or_else(|| too_large(kernel, in_w, 0))
+            .map(|rule| ("kernel", rule)),
+        _ => None,
+    }
+}
+
+/// Which of a layer's per-sample counts overflows `u64`, if one does.
+fn overflow(kind: &LayerKind) -> Option<String> {
+    [
+        ("MAC", kind.checked_macs()),
+        ("input element", kind.checked_input_elems()),
+        ("weight element", kind.checked_weight_elems()),
+        ("output element", kind.checked_output_elems()),
+    ]
+    .into_iter()
+    .find(|(_, count)| count.is_none())
+    .map(|(what, _)| format!("its {what} count overflows u64"))
 }
 
 /// A layer kind's variant name and the fields that must be at least 1

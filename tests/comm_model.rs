@@ -16,15 +16,18 @@
 //!   imbalance and stays Serial ≡ Fixed(4) and run-to-run byte-identical.
 //! * **No-regression** — a single-replica fleet over a wireless fabric is
 //!   still a plain [`ServeSim`] run, and a warm fleet sharing one
-//!   persisted cost DB evaluates MAESTRO exactly zero times.
+//!   persisted cost DB evaluates MAESTRO exactly zero times; its replicas
+//!   serve in replica order on one thread at any fan-out setting.
 
 use scar::core::Parallelism;
 use scar::mcm::templates::{het_sides_3x3, Profile};
 use scar::mcm::{CommCost, InterconnectSpec, Loc};
 use scar::serve::{
-    DispatchKind, FleetConfig, FleetSim, ReplicaSpec, ServeConfig, ServeSim, TrafficMix,
-    TrafficShape,
+    DispatchKind, FleetConfig, FleetReport, FleetSim, ReplicaSpec, ServeConfig, ServeSim,
+    TrafficMix, TrafficShape,
 };
+use scar::telemetry::Telemetry;
+use serde::Value;
 
 fn close(got: f64, want: f64, tol: f64, what: &str) {
     assert!((got - want).abs() < tol, "{what}: got {got}, want {want}");
@@ -309,33 +312,71 @@ fn single_replica_wireless_fleet_is_a_plain_serve_sim() {
     }
 }
 
-/// Satellite 2's acceptance gate: a fleet pointed at a persisted cost DB
-/// loads it once, serves the dispatch probe and every replica from the
-/// shared session, and a *warm* fleet runs at exactly zero MAESTRO
-/// evaluations while reproducing the cold run's rendered report.
+/// A fleet pointed at a persisted cost DB loads it once and serves the
+/// dispatch probe and every replica from the shared session, one replica
+/// at a time in replica order on the caller's thread, even at `Fixed(4)`:
+/// so each replica's `cost_evaluations` counts what the replicas before
+/// it left cold, exactly as in a `Serial` run. A *warm* fleet then runs at
+/// exactly zero MAESTRO evaluations while reproducing the cold run's
+/// rendered report.
 #[test]
 fn warm_fleet_shares_one_cost_db_at_zero_evaluations() {
     let path = std::env::temp_dir().join("scar_comm_model_fleet_costs.json");
     std::fs::remove_file(&path).ok();
     let mix = TrafficMix::arvr(7).reshaped(TrafficShape::Burst);
-    let run = || {
+    let run = |parallelism: Parallelism, telemetry: Telemetry| {
         FleetSim::new(
             ReplicaSpec::heterogeneous(3, Profile::ArVr, busy_cfg(Parallelism::Serial)),
             FleetConfig {
                 dispatch: DispatchKind::LeastLoaded,
+                parallelism,
                 cost_db_path: Some(path.clone()),
-                ..FleetConfig::default()
+                telemetry,
             },
         )
         .run(&mix, 0.2)
         .unwrap()
     };
+    let per_replica = |report: &FleetReport| -> Vec<u64> {
+        report
+            .replicas
+            .iter()
+            .map(|r| r.report.cost_evaluations)
+            .collect()
+    };
 
-    let cold = run();
+    let serial = run(Parallelism::Serial, Telemetry::disabled());
+    std::fs::remove_file(&path).ok();
+    let tel = Telemetry::enabled(true, false);
+    let cold = run(Parallelism::Fixed(4), tel.clone());
     assert!(cold.cost_evaluations > 0, "cold fleet pays the cost model");
     assert!(path.exists(), "fleet persists one shared snapshot");
+    assert_eq!(per_replica(&cold), per_replica(&serial));
+    assert_eq!(cold, serial);
+    let doc = serde::parse_value(&tel.trace_json().unwrap()).unwrap();
+    let mut replicas: Vec<(f64, f64, f64)> = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("name").and_then(Value::as_str) == Some("fleet.replica"))
+        .map(|e| {
+            let num = |v: Option<&Value>| v.and_then(Value::as_f64).unwrap();
+            let replica = num(e.get("args").and_then(|a| a.get("replica")));
+            (num(e.get("ts")), num(e.get("tid")), replica)
+        })
+        .collect();
+    replicas.sort_by(|a, b| a.0.total_cmp(&b.0));
+    assert_eq!(
+        replicas
+            .iter()
+            .map(|&(_, tid, ri)| (tid, ri))
+            .collect::<Vec<_>>(),
+        [(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)],
+        "the caller's thread serves the replicas in order"
+    );
 
-    let warm = run();
+    let warm = run(Parallelism::Fixed(4), Telemetry::disabled());
     assert_eq!(
         warm.cost_evaluations, 0,
         "warm fleet must not evaluate MAESTRO at all"

@@ -256,6 +256,30 @@ fn invalid_workload<T: std::fmt::Debug>(parsed: Result<T, ParseError>) -> (Strin
     }
 }
 
+/// `scenario` with `path` (below model `i`) set to `literal` is rejected
+/// naming the field, the model and the layer (none when the field is the
+/// layer list itself); so is that model described on its own.
+fn assert_rejected_naming_the_field(scenario: &Scenario, i: usize, path: &str, literal: &str) {
+    let model = &scenario.models()[i].model;
+    let layer = path
+        .strip_prefix("layers[")
+        .and_then(|p| p.split(']').next())
+        .map(|j| &model.layers()[j.parse::<usize>().unwrap()].name);
+    let in_scenario = format!("models[{i}].model.{path}");
+    let json = description_with(scenario, &in_scenario, literal);
+    let (field, reason) = invalid_workload(wl_parse::scenario_from_json(&json));
+    assert_eq!(field, in_scenario, "{reason}");
+    assert!(reason.contains(model.name()), "{reason}");
+    match layer {
+        Some(layer) => assert!(reason.contains(layer.as_str()), "{reason}"),
+        None => assert!(!reason.contains(&model.layers()[0].name), "{reason}"),
+    }
+
+    let json = description_with(model, path, literal);
+    let (field, reason) = invalid_workload(wl_parse::model_from_json(&json));
+    assert_eq!(field, path, "{reason}");
+}
+
 /// Sc6 with a zero dimension on a model's first layer (D2GO's Conv2d,
 /// Emformer's Gemm), or with its first model's layer list emptied, is
 /// rejected naming the field, the model and the layer; so is that model
@@ -274,19 +298,32 @@ fn zero_divisors_and_empty_models_are_rejected_naming_the_field() {
         (3, "layers[0].kind.Gemm.k", "0"),
         (0, "layers", "[]"),
     ] {
-        let model = &sc6.models()[i].model;
-        let layer = &model.layers()[0].name;
-        let in_scenario = format!("models[{i}].model.{path}");
-        let json = description_with(&sc6, &in_scenario, literal);
-        let (field, reason) = invalid_workload(wl_parse::scenario_from_json(&json));
-        assert_eq!(field, in_scenario, "{reason}");
-        assert!(reason.contains(model.name()), "{reason}");
-        assert_eq!(reason.contains(layer), literal == "0", "{reason}");
-
-        let json = description_with(model, path, literal);
-        let (field, reason) = invalid_workload(wl_parse::model_from_json(&json));
-        assert_eq!(field, path, "{reason}");
+        assert_rejected_naming_the_field(&sc6, i, path, literal);
     }
+}
+
+/// Nonzero fields that do not fit together are rejected the same way:
+/// D2GO's first conv (`in_ch` 3) at `groups: 1000`, or with a kernel past
+/// its padded input; GoogleNet's first pool (a 56×56 input, in Sc5) with a
+/// 57-wide window; and Emformer's first Gemm at `m = k = n = 2^32`, whose
+/// MAC count overflows `u64` (the field named is the layer's kind). The
+/// groups and the Gemm used to parse and count 0 MACs; the kernels
+/// clamped their layer's output to one row.
+#[test]
+fn inconsistent_and_overflowing_layers_are_rejected_naming_the_field() {
+    let sc6 = Scenario::arvr(6);
+    let two_pow_32 = r#"{"m": 4294967296, "k": 4294967296, "n": 4294967296}"#;
+    for (i, path, literal) in [
+        (0, "layers[0].kind.Conv2d.groups", "1000"),
+        (0, "layers[0].kind.Conv2d.kernel_h", "1000"),
+        (0, "layers[0].kind.Conv2d.kernel_w", "1000"),
+        (3, "layers[0].kind.Gemm", two_pow_32),
+    ] {
+        assert_rejected_naming_the_field(&sc6, i, path, literal);
+    }
+    let sc5 = Scenario::datacenter(5);
+    assert_eq!(sc5.models()[5].model.layers()[3].name, "pool2");
+    assert_rejected_naming_the_field(&sc5, 5, "layers[3].kind.Pool2d.kernel", "57");
 }
 
 /// The checks reject nothing the zoo ships: every zoo model, described on

@@ -3,11 +3,14 @@
 //!
 //! * **Parallelism-independence** — the fleet routes every arrival in one
 //!   pass off a virtual backlog model before any replica executes, then
-//!   advances replicas in fixed merge order; with per-replica reports
-//!   already parallelism-invariant, the whole [`FleetReport`] must be
+//!   serves the replicas, possibly at once, and merges their reports in
+//!   replica order; with per-replica reports already
+//!   parallelism-invariant, the whole [`FleetReport`] must be
 //!   byte-identical (struct equality *and* rendered form) between
-//!   `Serial` and `Fixed(4)` candidate evaluation, under every built-in
-//!   dispatch policy, with preemption and admission active.
+//!   `Serial` and `Fixed(4)` candidate evaluation and replica fan-out,
+//!   under every built-in dispatch policy, with preemption and admission
+//!   active. A fleet whose replicas fail returns the lowest-index
+//!   replica's error under either setting.
 //! * **Conservation across replicas** — routing splits the arrival
 //!   sequence, it never drops or duplicates: `offered == Σ routed` and
 //!   `offered == completed + rejected` at the fleet level, with each
@@ -18,8 +21,9 @@
 //! * **Cache affinity pays** — sticky routing beats round-robin on the
 //!   aggregate schedule-cache hit rate under every fabric.
 
-use scar::core::Parallelism;
-use scar::mcm::templates::{het_sides_3x3, Profile};
+use scar::core::{Parallelism, ScheduleError};
+use scar::maestro::Dataflow;
+use scar::mcm::templates::{het_sides_3x3, homogeneous, Profile};
 use scar::mcm::InterconnectSpec;
 use scar::serve::{
     DispatchKind, FleetConfig, FleetSim, ReplicaSpec, ServeConfig, ServeSim, TrafficMix,
@@ -59,6 +63,8 @@ fn busy_cfg(parallelism: Parallelism) -> ServeConfig {
     }
 }
 
+/// A fleet whose replicas and whose replica fan-out both run at
+/// `parallelism`.
 fn fleet(
     n: usize,
     dispatch: DispatchKind,
@@ -72,14 +78,16 @@ fn fleet(
         ),
         FleetConfig {
             dispatch,
+            parallelism,
             ..FleetConfig::default()
         },
     )
 }
 
-/// (a) `Serial` and `Fixed(4)` candidate evaluation produce byte-identical
-/// fleet reports for every built-in dispatch policy, across seeds and
-/// fabrics, under burst traffic with preemption and admission active.
+/// (a) `Serial` and `Fixed(4)` — candidate evaluation and replica fan-out
+/// together — produce byte-identical fleet reports for every built-in
+/// dispatch policy, across seeds and fabrics, under burst traffic with
+/// preemption and admission active.
 #[test]
 fn fleet_reports_are_parallelism_invariant_per_policy() {
     for seed in [1u64, 7, 42] {
@@ -263,5 +271,51 @@ fn cache_affinity_beats_round_robin_under_every_fabric() {
                  {rr_miss:.6}"
             );
         }
+    }
+}
+
+/// (e) Replicas 1 and 3 cannot schedule the overloaded mix: a one-chiplet
+/// replica fails on the first round with two live models, a two-chiplet
+/// one on the first with three. Serial or fanned out over four threads
+/// (where replica 3 may fail first), the fleet returns replica 1's error,
+/// the first in replica order. Round-robin routing ignores the packages,
+/// so replica 3 gets the same share in both fleets below.
+#[test]
+fn the_lowest_failing_replica_s_error_is_returned_under_any_fan_out() {
+    let mix = TrafficMix::arvr(3).throttled(4.0);
+    let spec = |mcm| ReplicaSpec {
+        mcm,
+        cfg: ServeConfig::default(),
+    };
+    let ok = || spec(het_sides_3x3(Profile::ArVr));
+    let chiplets = |cols| spec(homogeneous(Profile::ArVr, Dataflow::NvdlaLike, 1, cols));
+    let error = |replicas: Vec<ReplicaSpec>, parallelism| {
+        FleetSim::new(
+            replicas,
+            FleetConfig {
+                parallelism,
+                ..FleetConfig::default()
+            },
+        )
+        .run(&mix, 0.2)
+        .expect_err("a replica cannot schedule the mix")
+    };
+    for parallelism in [Parallelism::Serial, Parallelism::Fixed(4)] {
+        let only_last = error(vec![ok(), ok(), ok(), chiplets(2)], parallelism);
+        assert!(
+            matches!(
+                only_last,
+                ScheduleError::InsufficientChiplets { available: 2, .. }
+            ),
+            "{parallelism:?}: {only_last}"
+        );
+        let both = error(vec![ok(), chiplets(1), ok(), chiplets(2)], parallelism);
+        assert!(
+            matches!(
+                both,
+                ScheduleError::InsufficientChiplets { available: 1, .. }
+            ),
+            "{parallelism:?}: {both}"
+        );
     }
 }

@@ -10,12 +10,19 @@
 //! * the disabled handle is a true no-op (zero spans and events
 //!   recorded), and a walls-only sink keeps phase walls but no timeline,
 //! * an exported trace parses as Chrome `trace_event` JSON, carries the
-//!   required phase spans, and attributes ≥95% of the root wall time.
+//!   required phase spans, and attributes ≥95% of the root wall time,
+//! * a fleet serving replicas on several threads reports what a serial,
+//!   untraced fleet reports, and its trace puts each thread's spans on a
+//!   track of their own, where any two nest or are disjoint.
 
 use scar::core::Parallelism;
 use scar::mcm::templates::{het_sides_3x3, Profile};
-use scar::serve::{ServeConfig, ServeReport, ServeSim, TrafficMix, TrafficShape};
+use scar::serve::{
+    DispatchKind, FleetConfig, FleetReport, FleetSim, ReplicaSpec, ServeConfig, ServeReport,
+    ServeSim, TrafficMix, TrafficShape,
+};
 use scar::telemetry::{analyze_trace, Telemetry};
+use serde::Value;
 
 fn run_with(telemetry: Telemetry, parallelism: Parallelism) -> ServeReport {
     let mcm = het_sides_3x3(Profile::ArVr);
@@ -105,4 +112,76 @@ fn trace_covers_the_serving_phases() {
         "only {:.1}% of root wall attributed",
         analysis.coverage() * 100.0
     );
+}
+
+fn fleet_with(telemetry: Telemetry, parallelism: Parallelism) -> FleetReport {
+    let replicas = ReplicaSpec::heterogeneous(4, Profile::ArVr, ServeConfig::default());
+    let mut fleet = FleetSim::new(
+        replicas,
+        FleetConfig {
+            dispatch: DispatchKind::parse("affinity").unwrap(),
+            parallelism,
+            telemetry,
+            ..FleetConfig::default()
+        },
+    );
+    let mix = TrafficMix::arvr(41).reshaped(TrafficShape::Burst);
+    fleet.run(&mix, 0.4).expect("mix fits each 3x3")
+}
+
+/// Two threads serve a traced 4-replica fleet: the caller's (track 0,
+/// which also routed) serves replicas 0 and 1, one worker (track 1)
+/// serves 2 and 3. The report is exactly an untraced `Serial` fleet's,
+/// and on each track any two spans nest or are disjoint, which is what
+/// Perfetto needs to draw the track.
+#[test]
+fn a_traced_concurrent_fleet_reports_like_a_serial_one_on_nesting_tracks() {
+    let serial = fleet_with(Telemetry::disabled(), Parallelism::Serial);
+    let tel = Telemetry::enabled(true, false);
+    let traced = fleet_with(tel.clone(), Parallelism::Fixed(2));
+    assert_eq!(serial, traced);
+    assert_eq!(serial.to_string(), traced.to_string());
+
+    let doc = serde::parse_value(&tel.trace_json().unwrap()).unwrap();
+    let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+    let num = |e: &Value, key: &str| e.get(key).and_then(Value::as_f64).unwrap();
+    let mut replica_tracks = [f64::NAN; 4];
+    for e in events {
+        if e.get("name").and_then(Value::as_str) == Some("fleet.replica") {
+            let replica = num(e.get("args").unwrap(), "replica") as usize;
+            replica_tracks[replica] = num(e, "tid");
+        }
+    }
+    assert_eq!(replica_tracks, [0.0, 0.0, 1.0, 1.0]);
+
+    // per track: sort by start, the longer span first on a tie; a span
+    // starting before the innermost open one ends must end inside it
+    let mut spans: Vec<(f64, f64, f64)> = events
+        .iter()
+        .map(|e| (num(e, "tid"), num(e, "ts"), num(e, "ts") + num(e, "dur")))
+        .collect();
+    spans.sort_by(|a, b| {
+        (a.0.total_cmp(&b.0))
+            .then(a.1.total_cmp(&b.1))
+            .then(b.2.total_cmp(&a.2))
+    });
+    // timestamps are whole nanoseconds, in µs: 1e-3 absorbs the rounding
+    // of `ts + dur`
+    const EPS_US: f64 = 1e-3;
+    let mut open: Vec<(f64, f64)> = Vec::new();
+    for &(tid, start, end) in &spans {
+        while open
+            .last()
+            .is_some_and(|&(t, e)| t != tid || e <= start + EPS_US)
+        {
+            open.pop();
+        }
+        if let Some(&(_, outer_end)) = open.last() {
+            assert!(
+                end <= outer_end + EPS_US,
+                "track {tid}: [{start}, {end}] overlaps a span ending at {outer_end}"
+            );
+        }
+        open.push((tid, end));
+    }
 }
